@@ -16,7 +16,6 @@ so the comment header of a results CSV is itself a valid config file and
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import os
 import sys
@@ -27,7 +26,7 @@ from .baselines import available_precoders, get_precoder
 from .channel import RngSeed, SystemParams, draw_channel, draw_symbols
 from .falm import SolverConfig, falm_solve
 from .harness import ExperimentSpec, run_experiment, write_csv
-from .precoding import build_instance, min_margin
+from .precoding import build_instance, optimal_onebit_margin
 from .sep_analysis import run_verification
 
 WORKERS_ENV = "ONEBIT_PRECODING_WORKERS"
@@ -299,17 +298,6 @@ def _cmd_solve_one(args) -> int:
     return 0
 
 
-def _enumerate_onebit_margins(instance):
-    n2 = 2 * instance.n_antennas
-    a = instance.amplitude
-    best = -np.inf
-    for signs in itertools.product((-1.0, 1.0), repeat=n2):
-        margin = min_margin(instance, a * np.array(signs))
-        if margin > best:
-            best = margin
-    return best
-
-
 def _cmd_oracle_compare(args) -> int:
     order = parse_modulation(args.mod)
     if args.antennas > 6:
@@ -326,7 +314,7 @@ def _cmd_oracle_compare(args) -> int:
         symbols = rng.integers(0, order, size=args.users)
         instance = build_instance(H, symbols, order, args.power)
         margin = falm_solve(instance, config).margin
-        optimum = _enumerate_onebit_margins(instance)
+        optimum = optimal_onebit_margin(instance)
         if margin > optimum + 1e-9:
             raise RuntimeError(
                 f"seed {seed}: solver margin {margin} exceeds enumerated optimum {optimum}"

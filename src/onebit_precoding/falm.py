@@ -18,6 +18,7 @@ the one-bit alphabet by componentwise sign (ties to +).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,7 +77,9 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Outcome of one FALM solve. ``margin`` is always evaluated on the
-    quantized one-bit vector that is returned."""
+    quantized one-bit vector that is returned. ``inner_iterations`` sums the
+    APG iteration counts, including the iterations of a rejected-restart
+    cycle that the loop skips (see ``_apg``)."""
 
     x_onebit: OneBitVector
     margin: float
@@ -123,19 +126,6 @@ def update_v(x_real: np.ndarray, power: float) -> np.ndarray:
     return np.sqrt(power) / norm * x_real
 
 
-def _value_and_grad(instance, x, mu, lam, v):
-    zmax, e = _scores(instance, x, mu)
-    se = e.sum()
-    value = mu * (zmax + np.log(se)) + lam * (instance.power - x @ v)
-    grad = instance.stacked.T @ (e / se) - lam * v
-    return float(value), grad
-
-
-def _penalized_value(instance, x, mu, lam, v):
-    zmax, e = _scores(instance, x, mu)
-    return float(mu * (zmax + np.log(e.sum())) + lam * (instance.power - x @ v))
-
-
 def _apg(instance, v, lam, mu, x_init, config):
     """Monotone APG on the penalized surrogate over the box [-a, a]^2N.
 
@@ -143,64 +133,136 @@ def _apg(instance, v, lam, mu, x_init, config):
     decrease the objective, in which case a plain projected-gradient step is
     taken instead (guaranteed descent at step <= 1/L). Returns
     (x, iterations); the returned objective never exceeds the initial one.
+
+    The loop performs the floating-point operations of the plain loop (kept
+    as the reference in tests/test_falm.py) in the same order, so x and the
+    count match it bit for bit. It only skips repeated work: the softmax
+    weights of x are kept from the step that accepted it, so a restart costs
+    no extra forward product, and the surrogate's value is only evaluated
+    where a test reads it.
+
+    Under the fixed step a rejected restart leaves (x, y = x, t = 1), from
+    which every later iteration recomputes the same rejected step. The loop
+    therefore runs that next iteration's tests once and returns: a
+    non-finite value raises SolverFailure, a step within tolerance stops
+    there, and otherwise the cap is reached. ``iterations`` is in every case
+    the count the plain loop would have reached, and x is its result.
+    Backtracking can raise its Lipschitz estimate after a rejected restart,
+    so it keeps iterating.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
     tol = config.apg_tolerance
     if tol is None:
         tol = 1e-6 * np.sqrt(n2) * a
+    max_iters = config.apg_max_iters
+    forms = instance.stacked
+    forms_t = forms.T
+    power = instance.power
+    lam_v = lam * v
+    max_of, sum_of = np.maximum.reduce, np.add.reduce
 
     lips = instance.spectral_norm ** 2 / mu
     backtrack = config.apg_step_rule == "backtracking"
     # Backtracking starts optimistic and only ever raises its estimate.
     lips_bt = lips / 64.0 if backtrack else lips
+    step = 1.0 / lips_bt
 
-    x = np.clip(np.asarray(x_init, dtype=float), -a, a)
-    value_x = _penalized_value(instance, x, mu, lam, v)
-    if not np.isfinite(value_x):
+    def exponents(p):
+        """(e, shift, total) with s = forms @ p / mu, shift = max(s) and
+        e = exp(s - shift), which cannot overflow. The surrogate at p is
+        mu * (shift + log(total)), its gradient forms_t @ (e / total)."""
+        e = forms @ p
+        e /= mu
+        shift = max_of(e)
+        e -= shift
+        np.exp(e, out=e)
+        return e, shift, sum_of(e)
+
+    def penalized_value(p, shift, total):
+        """Surrogate plus penalty at p, from the shift and sum of its exponents."""
+        return float(mu * (shift + np.log(total)) + lam * (power - p @ v))
+
+    def descend(p, grad):
+        """Projected gradient step z from p, with z's exponents, their sum
+        and the value at z. The box projection is np.clip's result at about
+        half its call overhead."""
+        z = step * grad
+        np.subtract(p, z, out=z)
+        np.maximum(z, -a, out=z)
+        np.minimum(z, a, out=z)
+        e, shift, total = exponents(z)
+        return z, e, total, penalized_value(z, shift, total)
+
+    x = np.minimum(np.maximum(np.asarray(x_init, dtype=float), -a), a)
+    e_x, shift, sum_x = exponents(x)
+    value_x = penalized_value(x, shift, sum_x)
+    if not math.isfinite(value_x):
         raise SolverFailure("non-finite objective at the APG starting point")
-    y = x
+    y, value_y, grad_y = x, value_x, None
     t = 1.0
     iterations = 0
 
-    for _ in range(config.apg_max_iters):
+    while iterations < max_iters:
         iterations += 1
-        value_y, grad_y = _value_and_grad(instance, y, mu, lam, v)
-        step = 1.0 / lips_bt
-        z = np.clip(y - step * grad_y, -a, a)
-        if backtrack:
-            value_z = _penalized_value(instance, z, mu, lam, v)
-            while value_z > value_y + grad_y @ (z - y) + 0.5 * lips_bt * np.sum(
-                (z - y) ** 2
-            ) + 1e-12 and lips_bt < 1e2 * lips:
-                lips_bt *= 2.0
-                step = 1.0 / lips_bt
-                z = np.clip(y - step * grad_y, -a, a)
-                value_z = _penalized_value(instance, z, mu, lam, v)
-        else:
-            value_z = _penalized_value(instance, z, mu, lam, v)
-        if not np.isfinite(value_z):
+        if grad_y is None:
+            if y is x:
+                weights = e_x / sum_x
+            else:
+                weights, shift, total = exponents(y)
+                if backtrack:
+                    value_y = penalized_value(y, shift, total)
+                weights /= total
+            grad_y = forms_t @ weights
+            grad_y -= lam_v
+        z, e_z, sum_z, value_z = descend(y, grad_y)
+        while backtrack and value_z > value_y + grad_y @ (z - y) + 0.5 * lips_bt * np.sum(
+            (z - y) ** 2
+        ) + 1e-12 and lips_bt < 1e2 * lips:
+            lips_bt *= 2.0
+            step = 1.0 / lips_bt
+            z, e_z, sum_z, value_z = descend(y, grad_y)
+        if not math.isfinite(value_z):
             raise SolverFailure("non-finite objective during APG iteration")
 
-        if np.linalg.norm(y - z) / step <= tol:
+        d = y - z
+        if math.sqrt(d @ d) / step <= tol:
             if value_z <= value_x:
-                x, value_x = z, value_z
+                x = z
             break
 
         if value_z <= value_x:
             x_prev = x
-            x, value_x = z, value_z
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            x, value_x, e_x, sum_x = z, value_z, e_z, sum_z
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x - x_prev
+            y *= (t - 1.0) / t_next
+            y += x
+            grad_y = None
             t = t_next
+            continue
+
+        # Restart from x with a plain projected-gradient step.
+        grad_x = forms_t @ (e_x / sum_x)
+        grad_x -= lam_v
+        z, e_z, sum_z, value_z = descend(x, grad_x)
+        if value_z <= value_x:
+            x, value_x, e_x, sum_x = z, value_z, e_z, sum_z
+            grad_y = None
+        elif not backtrack:
+            # Rejected-restart cycle: run the next iteration's tests once.
+            if iterations < max_iters:
+                iterations += 1
+                if not math.isfinite(value_z):
+                    raise SolverFailure("non-finite objective during APG iteration")
+                d = x - z
+                if not math.sqrt(d @ d) / step <= tol:
+                    iterations = max_iters
+            break
         else:
-            _, grad_x = _value_and_grad(instance, x, mu, lam, v)
-            z = np.clip(x - step * grad_x, -a, a)
-            value_z = _penalized_value(instance, z, mu, lam, v)
-            if value_z <= value_x:
-                x, value_x = z, value_z
-            y = x
-            t = 1.0
+            grad_y = grad_x
+        y, value_y = x, value_x
+        t = 1.0
 
     return x, iterations
 
@@ -230,7 +292,9 @@ def falm_solve(
     ``init`` may be None (x0 = v0 = 0, the standard start), an explicit real
     2N vector, or an integer seed for a uniform random point in the box. Each
     APG call warm-starts from the previous outer iterate. ``trace_file``
-    optionally receives one CSV row per outer iteration for debugging.
+    optionally receives one CSV row per outer iteration for debugging; its
+    ``inner_iters`` column is that APG call's count, which runs up to the cap
+    when the call ends in a rejected-restart cycle.
     """
     if config is None:
         config = SolverConfig()

@@ -167,3 +167,15 @@ def safety_margin(h: np.ndarray, x: np.ndarray, symbol: complex, order: int) -> 
 def min_margin(instance: PrecodingInstance, x_real: np.ndarray) -> float:
     """Worst-user safety margin, -max over all 2K stacked forms."""
     return float(-np.max(instance.stacked @ np.asarray(x_real, dtype=float)))
+
+
+def optimal_onebit_margin(instance: PrecodingInstance) -> float:
+    """Exhaustive optimum: the best worst-user margin over all 2^(2N) one-bit
+    transmit vectors, scored in one matrix product. Meant for tiny
+    instances (N <= 8); memory grows as 4^N."""
+    n2 = 2 * instance.n_antennas
+    if instance.n_antennas > 8:
+        raise ValueError(f"exhaustive search needs N <= 8, got {instance.n_antennas}")
+    bits = (np.arange(1 << n2)[:, None] >> np.arange(n2)) & 1
+    candidates = instance.amplitude * (2.0 * bits - 1.0)
+    return float(-np.min(np.max(candidates @ instance.stacked.T, axis=1)))

@@ -4,7 +4,6 @@ Criterion 9 (full-scale smoke test) is optional and long-running; set
 RUN_FULL_SCALE=1 to include it.
 """
 
-import itertools
 import os
 import time
 
@@ -18,7 +17,6 @@ from onebit_precoding import (
     build_instance,
     empirical_sep,
     falm_solve,
-    min_margin,
     perturb,
     run_experiment,
     sep_union_bound,
@@ -27,6 +25,7 @@ from onebit_precoding import (
     update_v,
     write_csv,
 )
+from onebit_precoding.precoding import optimal_onebit_margin
 from onebit_precoding.sep_analysis import _implication_violations
 
 
@@ -226,11 +225,7 @@ def test_criterion_06_falm_vs_brute_force():
         symbols = rng.integers(0, 4, size=2)
         inst = build_instance(H, symbols, 4, power)
         margin = falm_solve(inst).margin
-        a = inst.amplitude
-        optimum = max(
-            min_margin(inst, a * np.array(signs))
-            for signs in itertools.product((-1.0, 1.0), repeat=4)
-        )
+        optimum = optimal_onebit_margin(inst)
         never_exceeds &= margin <= optimum + 1e-9
         exact_hits += abs(margin - optimum) <= 1e-9
         within = (optimum - margin) <= 0.05 * abs(optimum) + 1e-12

@@ -18,7 +18,98 @@ from onebit_precoding import (
     smoothed_objective,
     update_v,
 )
-from onebit_precoding.falm import _penalized_value
+from onebit_precoding import falm
+from onebit_precoding.falm import _scores
+
+
+def _value_and_grad(instance, x, mu, lam, v):
+    zmax, e = _scores(instance, x, mu)
+    se = e.sum()
+    value = mu * (zmax + np.log(se)) + lam * (instance.power - x @ v)
+    grad = instance.stacked.T @ (e / se) - lam * v
+    return float(value), grad
+
+
+def _penalized_value(instance, x, mu, lam, v):
+    zmax, e = _scores(instance, x, mu)
+    return float(mu * (zmax + np.log(e.sum())) + lam * (instance.power - x @ v))
+
+
+def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
+    """The plain APG loop that ``falm._apg`` must reproduce bit for bit.
+
+    It evaluates the value and gradient afresh at every point and repeats a
+    rejected restart until the cap. ``exits``, if given, collects how each
+    call ended: "tolerance", "cap", and also "cycle" when a fixed-step call
+    rejects a restart before its last iteration.
+    """
+    a = instance.amplitude
+    n2 = 2 * instance.n_antennas
+    tol = config.apg_tolerance
+    if tol is None:
+        tol = 1e-6 * np.sqrt(n2) * a
+
+    lips = instance.spectral_norm ** 2 / mu
+    backtrack = config.apg_step_rule == "backtracking"
+    lips_bt = lips / 64.0 if backtrack else lips
+
+    x = np.clip(np.asarray(x_init, dtype=float), -a, a)
+    value_x = _penalized_value(instance, x, mu, lam, v)
+    if not np.isfinite(value_x):
+        raise SolverFailure("non-finite objective at the APG starting point")
+    y = x
+    t = 1.0
+    iterations = 0
+    outcome = "cap"
+    cycled = False
+
+    for _ in range(config.apg_max_iters):
+        iterations += 1
+        value_y, grad_y = _value_and_grad(instance, y, mu, lam, v)
+        step = 1.0 / lips_bt
+        z = np.clip(y - step * grad_y, -a, a)
+        if backtrack:
+            value_z = _penalized_value(instance, z, mu, lam, v)
+            while value_z > value_y + grad_y @ (z - y) + 0.5 * lips_bt * np.sum(
+                (z - y) ** 2
+            ) + 1e-12 and lips_bt < 1e2 * lips:
+                lips_bt *= 2.0
+                step = 1.0 / lips_bt
+                z = np.clip(y - step * grad_y, -a, a)
+                value_z = _penalized_value(instance, z, mu, lam, v)
+        else:
+            value_z = _penalized_value(instance, z, mu, lam, v)
+        if not np.isfinite(value_z):
+            raise SolverFailure("non-finite objective during APG iteration")
+
+        if np.linalg.norm(y - z) / step <= tol:
+            if value_z <= value_x:
+                x, value_x = z, value_z
+            outcome = "tolerance"
+            break
+
+        if value_z <= value_x:
+            x_prev = x
+            x, value_x = z, value_z
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            t = t_next
+        else:
+            _, grad_x = _value_and_grad(instance, x, mu, lam, v)
+            z = np.clip(x - step * grad_x, -a, a)
+            value_z = _penalized_value(instance, z, mu, lam, v)
+            if value_z <= value_x:
+                x, value_x = z, value_z
+            elif not backtrack and iterations < config.apg_max_iters:
+                cycled = True
+            y = x
+            t = 1.0
+
+    if exits is not None:
+        exits.append(outcome)
+        if cycled:
+            exits.append("cycle")
+    return x, iterations
 
 
 def random_instance(rng, n_users=4, n_antennas=3, order=8, power=1.0):
@@ -231,6 +322,75 @@ class TestApg:
         )
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure):
             apg_minimize(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig())
+
+
+STEP_RULES = ["fixed-lipschitz", "backtracking"]
+
+
+def solve_both(monkeypatch, instance, config, init=None, exits=None):
+    """falm_solve through the lean ``falm._apg`` and through the reference."""
+    lean = falm_solve(instance, config, init=init)
+    monkeypatch.setattr(falm, "_apg", lambda *args: reference_apg(*args, exits=exits))
+    reference = falm_solve(instance, config, init=init)
+    monkeypatch.undo()
+    return lean, reference
+
+
+def assert_same_report(lean, reference):
+    np.testing.assert_array_equal(lean.x_onebit.x_real, reference.x_onebit.x_real)
+    assert lean.margin == reference.margin
+    assert lean.outer_iterations == reference.outer_iterations
+    assert lean.inner_iterations == reference.inner_iterations
+    assert lean.lambda_trace == reference.lambda_trace
+    assert lean.objective_trace == reference.objective_trace
+    assert lean.penalty_gap_trace == reference.penalty_gap_trace
+
+
+class TestApgMatchesReference:
+    """The lean APG loop is bit-identical to the plain loop, exits included."""
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    def test_small_instances(self, monkeypatch, step_rule):
+        rng = np.random.default_rng(21)
+        exits = []
+        for k in range(24):
+            inst = random_instance(
+                rng, n_users=1 + k % 4, n_antennas=1 + k % 3, order=(2, 4, 8)[k % 3]
+            )
+            config = SolverConfig(apg_max_iters=(2000, 40)[k % 2], apg_step_rule=step_rule)
+            init = k if k % 5 == 0 else None
+            assert_same_report(*solve_both(monkeypatch, inst, config, init, exits))
+        assert {"tolerance", "cap"} <= set(exits)
+        if step_rule == "fixed-lipschitz":
+            assert "cycle" in exits
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    def test_desk_size_instances(self, monkeypatch, step_rule):
+        """N=32, K=8, 8-PSK: the criterion-8 shape."""
+        rng = np.random.default_rng(22)
+        exits = []
+        for _ in range(2):
+            inst = random_instance(rng, n_users=8, n_antennas=32, order=8)
+            config = SolverConfig(apg_step_rule=step_rule)
+            assert_same_report(*solve_both(monkeypatch, inst, config, exits=exits))
+        assert "cap" in exits
+        if step_rule == "fixed-lipschitz":
+            assert "cycle" in exits
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    def test_single_calls(self, step_rule):
+        rng = np.random.default_rng(23)
+        inst = random_instance(rng, n_users=3, n_antennas=4, order=8)
+        a = inst.amplitude
+        for k in range(40):
+            v = update_v(rng.uniform(-a, a, size=8), 1.0)
+            lam = rng.uniform(0.0, 10.0)
+            x0 = rng.uniform(-2 * a, 2 * a, size=8)
+            config = SolverConfig(apg_max_iters=1 + 25 * k, apg_step_rule=step_rule)
+            x, iterations = falm._apg(inst, v, lam, 0.01, x0, config)
+            x_ref, iterations_ref = reference_apg(inst, v, lam, 0.01, x0, config)
+            np.testing.assert_array_equal(x, x_ref)
+            assert iterations == iterations_ref
 
 
 class TestFalmSolve:

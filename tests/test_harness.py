@@ -124,6 +124,22 @@ class TestRunExperiment:
             run_experiment(parallel)
         )
 
+    def test_worker_count_gives_identical_csv(self, tmp_path):
+        """1 and 2 workers write the same CSV, wall_time_s aside, with FALM."""
+        texts = []
+        for n_workers in (1, 2):
+            spec = make_spec(
+                precoder_ids=("falm", "zf-ob", "msm"),
+                n_realizations=3,
+                n_workers=n_workers,
+                solver=SolverConfig(apg_max_iters=30),
+            )
+            path = tmp_path / f"workers{n_workers}.csv"
+            write_csv(run_experiment(spec), str(path))
+            texts.append([line.rsplit(",", 1)[0] for line in path.read_text().splitlines()])
+        assert texts[0] == texts[1]
+        assert len(texts[0]) == 1 + 3 * 2
+
     def test_snr_monotone_for_floorless_precoder(self):
         # BER non-increasing in SNR up to Monte-Carlo noise (2 standard errors)
         spec = make_spec(

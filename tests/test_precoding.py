@@ -1,5 +1,7 @@
 """Tests for complex-to-real instance building and safety margins."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,11 @@ from onebit_precoding import (
     to_complex,
     to_real,
 )
-from onebit_precoding.precoding import cot_half_sector, sign_ties_positive
+from onebit_precoding.precoding import (
+    cot_half_sector,
+    optimal_onebit_margin,
+    sign_ties_positive,
+)
 
 
 def random_instance(rng, n_users=3, n_antennas=4, order=8, power=1.0):
@@ -133,6 +139,27 @@ class TestMinMargin:
             s = np.exp(2j * np.pi * symbols / 8)
             oracle = min(safety_margin(H[i], x, s[i], 8) for i in range(3))
             assert min_margin(inst, to_real(x)) == pytest.approx(oracle, abs=1e-12)
+
+
+class TestOptimalOneBitMargin:
+    def test_matches_pattern_loop(self):
+        rng = np.random.default_rng(6)
+        for n_antennas in (1, 2, 3):
+            for order in (2, 4, 8):
+                _, _, inst = random_instance(
+                    rng, n_users=2, n_antennas=n_antennas, order=order, power=2.0
+                )
+                a = inst.amplitude
+                oracle = max(
+                    min_margin(inst, a * np.array(signs))
+                    for signs in itertools.product((-1.0, 1.0), repeat=2 * n_antennas)
+                )
+                assert optimal_onebit_margin(inst) == pytest.approx(oracle, abs=1e-12)
+
+    def test_rejects_large_instances(self):
+        _, _, inst = random_instance(np.random.default_rng(7), n_antennas=9)
+        with pytest.raises(ValueError):
+            optimal_onebit_margin(inst)
 
 
 class TestOneBitVector:
