@@ -147,29 +147,20 @@ _REGISTRY = {
     "falm": _falm_entry,
 }
 
-# Reserved plug-in slot: the MMSE-style one-bit design this id refers to is
-# a separate algorithm that this package deliberately does not ship.
-_RESERVED = ("squid",)
-
 
 def available_precoders() -> tuple:
-    return tuple(sorted(_REGISTRY)) + _RESERVED
+    return tuple(sorted(_REGISTRY))
 
 
 def register_precoder(precoder_id: str, factory: Callable[[Optional[SolverConfig]], Precoder]):
     """Install a custom precoder under a new id. ``factory`` receives the
     solver config (possibly None) and returns the precoding callable."""
-    if precoder_id in _REGISTRY or precoder_id in _RESERVED:
+    if precoder_id in _REGISTRY:
         raise ValueError(f"precoder id {precoder_id!r} is already taken")
     _REGISTRY[precoder_id] = factory
 
 
 def get_precoder(precoder_id: str, solver_config: Optional[SolverConfig] = None) -> Precoder:
-    if precoder_id in _RESERVED:
-        raise NotImplementedError(
-            f"precoder {precoder_id!r} is a reserved plug-in id with no bundled "
-            "implementation; register one via register_precoder()"
-        )
     try:
         factory = _REGISTRY[precoder_id]
     except KeyError:

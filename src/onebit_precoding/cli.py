@@ -145,8 +145,6 @@ def build_run_spec(resolved: dict) -> ExperimentSpec:
     for pid in precoders:
         try:
             get_precoder(pid, solver)
-        except NotImplementedError as exc:
-            raise CliError(f"--precoders: {exc}") from None
         except KeyError as exc:
             raise CliError(f"--precoders: {exc.args[0]}") from None
     try:

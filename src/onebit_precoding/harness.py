@@ -122,7 +122,7 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     bit_dist = gray.bit_distance_table()
     precoders = [get_precoder(pid, spec.solver) for pid in spec.precoder_ids]
     params = spec.system_params(spec.snr_db[0])
-    sigmas = [np.sqrt(spec.total_power / 10.0 ** (s / 10.0)) for s in spec.snr_db]
+    sigmas = np.array([np.sqrt(spec.total_power / 10.0 ** (s / 10.0)) for s in spec.snr_db])
 
     n_p, n_s, n_u = len(precoders), len(sigmas), spec.n_users
     bit_errors = np.zeros((n_p, n_s, n_u), dtype=np.int64)
@@ -151,19 +151,29 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
                 )
                 continue
             seconds[p] += time.perf_counter() - start
-            ok_instances[p] += 1
             noiseless = H @ x
-            for s, sigma in enumerate(sigmas):
-                detected = constellation.decide(noiseless + sigma * unit_noise)
-                symbol_errors[p, s] += detected != symbols
-                bit_errors[p, s] += bit_dist[symbols, detected]
+            if not np.isfinite(noiseless).all():
+                failures[p] += 1
+                logger.warning(
+                    "precoder %s gave a non-finite reception on realization %d, t %d; "
+                    "instance excluded",
+                    spec.precoder_ids[p],
+                    realization,
+                    t,
+                )
+                continue
+            ok_instances[p] += 1
+            # One row per SNR point.
+            detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
+            symbol_errors[p] += detected != symbols
+            bit_errors[p] += bit_dist[symbols, detected]
     return bit_errors, symbol_errors, ok_instances, failures, seconds
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """Run the Monte-Carlo sweep and return one BerRecord per
     (precoder, SNR), in spec order."""
-    # fail fast on unknown / reserved precoder ids
+    # fail fast on unknown precoder ids
     for pid in spec.precoder_ids:
         get_precoder(pid, spec.solver)
 

@@ -255,11 +255,7 @@ class TestRegistry:
     def test_builtin_ids_resolve(self):
         for pid in ("zf", "zf-ob", "msm", "falm"):
             assert callable(get_precoder(pid))
-
-    def test_reserved_id_is_listed_but_not_implemented(self):
-        assert "squid" in available_precoders()
-        with pytest.raises(NotImplementedError):
-            get_precoder("squid")
+        assert available_precoders() == ("falm", "msm", "zf", "zf-ob")
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -290,8 +286,8 @@ class TestRegistry:
             assert np.all(x == x[0])
             with pytest.raises(ValueError):
                 register_precoder("all-plus", factory)
-            with pytest.raises(ValueError):
-                register_precoder("squid", factory)
+            with pytest.raises(KeyError):
+                get_precoder("squid")
         finally:
             from onebit_precoding.baselines import _REGISTRY
 

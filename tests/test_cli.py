@@ -75,7 +75,7 @@ class TestRunCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_reserved_precoder_message(self, tmp_path, capsys):
+    def test_squid_is_rejected_as_unknown(self, tmp_path, capsys):
         code = main(["run", "--precoders", "squid", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "squid" in capsys.readouterr().err

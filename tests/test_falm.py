@@ -2,6 +2,7 @@
 alternating-minimization solver."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,45 +20,55 @@ from onebit_precoding import (
     update_v,
 )
 from onebit_precoding import falm
-from onebit_precoding.falm import _scores
-
-
-def _value_and_grad(instance, x, mu, lam, v):
-    zmax, e = _scores(instance, x, mu)
-    se = e.sum()
-    value = mu * (zmax + np.log(se)) + lam * (instance.power - x @ v)
-    grad = instance.stacked.T @ (e / se) - lam * v
-    return float(value), grad
 
 
 def _penalized_value(instance, x, mu, lam, v):
-    zmax, e = _scores(instance, x, mu)
-    return float(mu * (zmax + np.log(e.sum())) + lam * (instance.power - x @ v))
+    return smoothed_objective(instance, x, mu) + lam * (instance.power - x @ v)
 
 
 def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     """The plain APG loop that ``falm._apg`` must reproduce bit for bit.
 
-    It evaluates the value and gradient afresh at every point and repeats a
+    It shares the lean loop's arithmetic: scores [forms @ p / mu; p . v]
+    from one product, the momentum point's scores by linearity, and the
+    gradient times sum(e) from one transposed product. It evaluates the
+    value and gradient afresh from the scores at every point and repeats a
     rejected restart until the cap. ``exits``, if given, collects how each
     call ended: "tolerance", "cap", and also "cycle" when a fixed-step call
     rejects a restart before its last iteration.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
+    m = 2 * instance.n_users
     tol = config.apg_tolerance
     if tol is None:
         tol = 1e-6 * np.sqrt(n2) * a
+    # The products' rounding depends on the layout: column-major, as in the loop.
+    forward = np.asfortranarray(np.vstack([instance.stacked / mu, v]))
+    transposed = np.asfortranarray(np.vstack([instance.stacked, v]).T)
+
+    def evaluate(s):
+        """(value, e, sum(e)) at the point with scores s."""
+        shift = np.max(s[:m])
+        e = np.exp(s[:m] - shift)
+        total = e @ np.ones(m)  # a BLAS dot, as in the loop
+        return mu * (shift + math.log(total)) + lam * (instance.power - s[m]), e, total
+
+    def step_from(p, e, total, step):
+        """Projected gradient step from p and its scores; returns (z, g)."""
+        g = transposed @ np.append(e, -lam * total)
+        return np.clip(p - (step / total) * g, -a, a), g
 
     lips = instance.spectral_norm ** 2 / mu
     backtrack = config.apg_step_rule == "backtracking"
     lips_bt = lips / 64.0 if backtrack else lips
 
     x = np.clip(np.asarray(x_init, dtype=float), -a, a)
-    value_x = _penalized_value(instance, x, mu, lam, v)
+    s_x = forward @ x
+    value_x, _, _ = evaluate(s_x)
     if not np.isfinite(value_x):
         raise SolverFailure("non-finite objective at the APG starting point")
-    y = x
+    y, s_y = x, s_x
     t = 1.0
     iterations = 0
     outcome = "cap"
@@ -65,20 +76,19 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
 
     for _ in range(config.apg_max_iters):
         iterations += 1
-        value_y, grad_y = _value_and_grad(instance, y, mu, lam, v)
+        value_y, e_y, total_y = evaluate(s_y)
         step = 1.0 / lips_bt
-        z = np.clip(y - step * grad_y, -a, a)
-        if backtrack:
-            value_z = _penalized_value(instance, z, mu, lam, v)
-            while value_z > value_y + grad_y @ (z - y) + 0.5 * lips_bt * np.sum(
-                (z - y) ** 2
-            ) + 1e-12 and lips_bt < 1e2 * lips:
-                lips_bt *= 2.0
-                step = 1.0 / lips_bt
-                z = np.clip(y - step * grad_y, -a, a)
-                value_z = _penalized_value(instance, z, mu, lam, v)
-        else:
-            value_z = _penalized_value(instance, z, mu, lam, v)
+        z, g = step_from(y, e_y, total_y, step)
+        s_z = forward @ z
+        value_z, _, _ = evaluate(s_z)
+        while backtrack and value_z > value_y + (g @ (z - y)) / total_y + 0.5 * lips_bt * np.sum(
+            (z - y) ** 2
+        ) + 1e-12 and lips_bt < 1e2 * lips:
+            lips_bt *= 2.0
+            step = 1.0 / lips_bt
+            z, g = step_from(y, e_y, total_y, step)
+            s_z = forward @ z
+            value_z, _, _ = evaluate(s_z)
         if not np.isfinite(value_z):
             raise SolverFailure("non-finite objective during APG iteration")
 
@@ -89,20 +99,23 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
             break
 
         if value_z <= value_x:
-            x_prev = x
-            x, value_x = z, value_z
+            x_prev, s_prev = x, s_x
+            x, s_x, value_x = z, s_z, value_z
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            beta = (t - 1.0) / t_next
+            y = x + beta * (x - x_prev)
+            s_y = s_x + beta * (s_x - s_prev)
             t = t_next
         else:
-            _, grad_x = _value_and_grad(instance, x, mu, lam, v)
-            z = np.clip(x - step * grad_x, -a, a)
-            value_z = _penalized_value(instance, z, mu, lam, v)
+            _, e_x, total_x = evaluate(s_x)
+            z, _ = step_from(x, e_x, total_x, step)
+            s_z = forward @ z
+            value_z, _, _ = evaluate(s_z)
             if value_z <= value_x:
-                x, value_x = z, value_z
+                x, s_x, value_x = z, s_z, value_z
             elif not backtrack and iterations < config.apg_max_iters:
                 cycled = True
-            y = x
+            y, s_y = x, s_x
             t = 1.0
 
     if exits is not None:

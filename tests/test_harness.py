@@ -1,6 +1,9 @@
 """Tests for the Monte-Carlo experiment engine: pairing, determinism,
 error accounting, and CSV output."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from onebit_precoding import (
     run_experiment,
     write_csv,
 )
+from onebit_precoding import harness
 from onebit_precoding.harness import CSV_COLUMNS
 
 
@@ -154,10 +158,76 @@ class TestRunExperiment:
             assert hi.ber <= lo.ber + 2 * se
 
     def test_unknown_precoder_fails_fast(self):
-        with pytest.raises(KeyError):
-            run_experiment(make_spec(precoder_ids=("nonesuch",)))
-        with pytest.raises(NotImplementedError):
-            run_experiment(make_spec(precoder_ids=("squid",)))
+        for pid in ("nonesuch", "squid"):
+            with pytest.raises(KeyError):
+                run_experiment(make_spec(precoder_ids=(pid,)))
+
+    def test_non_finite_channel_counts_as_failure(self, monkeypatch, caplog):
+        """One NaN channel entry at t=1 costs every precoder that instance:
+        msm and falm raise, and zf and zf-ob send finite or NaN rails that
+        reach the users as non-finite receptions."""
+        real_streams = harness.paired_streams
+
+        def streams(base_seed, realization, t, params, order):
+            H, symbols, noise = real_streams(base_seed, realization, t, params, order)
+            if t == 1:
+                H = H.copy()
+                H[0, 0] = np.nan
+            return H, symbols, noise
+
+        monkeypatch.setattr(harness, "paired_streams", streams)
+        spec = make_spec(
+            n_antennas=4,
+            n_users=2,
+            block_length=3,
+            n_realizations=1,
+            precoder_ids=("zf", "zf-ob", "msm", "falm"),
+            solver=SolverConfig(apg_max_iters=30),
+        )
+        with np.errstate(all="ignore"), caplog.at_level(logging.WARNING, logger=harness.__name__):
+            records = run_experiment(spec)
+        for r in records:
+            assert r.failures == 1, r.precoder
+            assert r.symbol_count == (spec.block_length - 1) * spec.n_users, r.precoder
+        for pid in ("zf", "zf-ob"):
+            assert any(
+                f"precoder {pid} gave a non-finite reception on realization 0, t 1" in m
+                for m in caplog.messages
+            )
+
+    def test_appending_trials_keeps_earlier_counts(self):
+        three = make_spec(
+            precoder_ids=("zf-ob", "msm", "falm"),
+            n_realizations=3,
+            solver=SolverConfig(apg_max_iters=30),
+        )
+        five = dataclasses.replace(three, n_realizations=5)
+        counts = [harness._realization_counts(five, r)[:4] for r in range(5)]
+        for r in range(3):
+            for got, expected in zip(harness._realization_counts(three, r)[:4], counts[r]):
+                np.testing.assert_array_equal(got, expected)
+
+        def totals(records):
+            return [
+                (round(r.ber * r.bit_count), round(r.ser * r.symbol_count), r.symbol_count, r.failures)
+                for r in records
+            ]
+
+        bit_errors, symbol_errors, ok, failures = (
+            counts[3][i] + counts[4][i] for i in range(4)
+        )
+        added = [
+            (
+                int(bit_errors[p, s].sum()),
+                int(symbol_errors[p, s].sum()),
+                int(ok[p]) * five.n_users,
+                int(failures[p]),
+            )
+            for p in range(len(five.precoder_ids))
+            for s in range(len(five.snr_db))
+        ]
+        expected = [tuple(map(sum, zip(a, b))) for a, b in zip(totals(run_experiment(three)), added)]
+        assert totals(run_experiment(five)) == expected
 
     def test_failures_counted_and_excluded(self):
         calls = {"n": 0}
