@@ -7,12 +7,9 @@ BER harness with a CLI.
 """
 
 from .baselines import (
-    LpProblem,
-    LpSolution,
     MsmReport,
     available_precoders,
     get_precoder,
-    lp_solve,
     msm_precode,
     register_precoder,
     zf_onebit,
@@ -56,8 +53,6 @@ __all__ = [
     "BerRecord",
     "ExperimentSpec",
     "GrayBitMap",
-    "LpProblem",
-    "LpSolution",
     "MpskConstellation",
     "MsmReport",
     "OneBitVector",
@@ -79,7 +74,6 @@ __all__ = [
     "empirical_sep",
     "falm_solve",
     "get_precoder",
-    "lp_solve",
     "min_margin",
     "msm_precode",
     "one_bit_amplitude",

@@ -40,53 +40,24 @@ def zf_onebit(H: np.ndarray, symbols, constellation: MpskConstellation, power: f
     return to_complex(quantize_one_bit(to_real(x), power))
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """maximize objective . x subject to A_ub x <= b_ub and lower <= x <= upper
-    (None entries mean unbounded)."""
-
-    objective: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    lower: tuple
-    upper: tuple
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    x: np.ndarray
-    value: float
-
-
-def lp_solve(problem: LpProblem) -> LpSolution:
-    """Solve a small dense LP to optimality (HiGHS backend)."""
-    res = linprog(
-        -np.asarray(problem.objective, dtype=float),
-        A_ub=np.asarray(problem.a_ub, dtype=float),
-        b_ub=np.asarray(problem.b_ub, dtype=float),
-        bounds=list(zip(problem.lower, problem.upper)),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    return LpSolution(x=res.x, value=float(-res.fun))
-
-
-def msm_lp_problem(instance: PrecodingInstance) -> LpProblem:
-    """Box relaxation of the max-min-margin design: maximize t subject to
-    every margin form + t <= 0 and |x_j| <= sqrt(P/2N)."""
+def msm_lp_problem(instance: PrecodingInstance) -> dict:
+    """Box relaxation of the max-min-margin design as keyword arguments of
+    ``scipy.optimize.linprog``: over [x; t], maximize t (minimize -t)
+    subject to every margin form + t <= 0 and |x_j| <= sqrt(P/2N)."""
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
     forms = instance.stacked
-    a_ub = np.hstack([forms, np.ones((forms.shape[0], 1))])
     objective = np.zeros(n2 + 1)
-    objective[-1] = 1.0
-    return LpProblem(
-        objective=objective,
-        a_ub=a_ub,
+    objective[-1] = -1.0
+    bounds = np.empty((n2 + 1, 2))
+    bounds[:n2] = -a, a
+    bounds[n2] = -np.inf, np.inf
+    return dict(
+        c=objective,
+        A_ub=np.hstack([forms, np.ones((forms.shape[0], 1))]),
         b_ub=np.zeros(forms.shape[0]),
-        lower=(-a,) * n2 + (None,),
-        upper=(a,) * n2 + (None,),
+        bounds=bounds,
+        method="highs",
     )
 
 
@@ -104,12 +75,14 @@ class MsmReport:
 def msm_precode(instance: PrecodingInstance) -> MsmReport:
     """Maximum-safety-margin design: solve the box-relaxed LP, then quantize
     componentwise by sign (ties to +)."""
-    solution = lp_solve(msm_lp_problem(instance))
+    solution = linprog(**msm_lp_problem(instance))
+    if solution.status != 0:
+        raise RuntimeError(f"MSM LP solve failed: {solution.message}")
     n2 = 2 * instance.n_antennas
     x_q = quantize_one_bit(solution.x[:n2], instance.power)
     return MsmReport(
         x_onebit=OneBitVector(x_q, instance.power),
-        relaxed_optimum=solution.value,
+        relaxed_optimum=float(-solution.fun),
         margin=min_margin(instance, x_q),
     )
 

@@ -73,9 +73,6 @@ class MpskConstellation:
             return int(idx)
         return idx
 
-    def point(self, index: int) -> complex:
-        return complex(self.points[index])
-
 
 @dataclass(frozen=True)
 class GrayBitMap:

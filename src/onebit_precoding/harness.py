@@ -170,6 +170,16 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     return bit_errors, symbol_errors, ok_instances, failures, seconds
 
 
+def _realization_worker(spec: ExperimentSpec, realization: int):
+    """_realization_counts, with an exception that escapes it (precoder
+    exceptions do not: they count as failures) re-raised as an error naming
+    the realization. Module level, so a process pool can pickle it."""
+    try:
+        return _realization_counts(spec, realization)
+    except Exception as exc:
+        raise RuntimeError(f"realization {realization} failed: {exc!r}") from exc
+
+
 def run_experiment(spec: ExperimentSpec) -> list:
     """Run the Monte-Carlo sweep and return one BerRecord per
     (precoder, SNR), in spec order."""
@@ -177,7 +187,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
     for pid in spec.precoder_ids:
         get_precoder(pid, spec.solver)
 
-    worker = partial(_realization_counts, spec)
+    worker = partial(_realization_worker, spec)
     if spec.n_workers == 1 or spec.n_realizations == 1:
         partials = map(worker, range(spec.n_realizations))
         merged = _merge(partials)

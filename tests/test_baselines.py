@@ -1,18 +1,18 @@
-"""Tests for the ZF, ZF-OB, and MSM precoders, the LP solver, and the
-precoder registry."""
+"""Tests for the ZF, ZF-OB, and MSM precoders, MSM's LP, and the precoder
+registry."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from onebit_precoding import (
-    LpProblem,
     MpskConstellation,
     available_precoders,
     build_instance,
     get_precoder,
-    lp_solve,
     min_margin,
     msm_precode,
     one_bit_amplitude,
@@ -21,6 +21,7 @@ from onebit_precoding import (
     zf_onebit,
     zf_precode,
 )
+from onebit_precoding import baselines
 from onebit_precoding.baselines import msm_lp_problem
 
 
@@ -135,42 +136,6 @@ class TestZfOnebit:
 
 
 class TestLpSolve:
-    def test_two_ceilings(self):
-        problem = LpProblem(
-            objective=np.array([1.0]),
-            a_ub=np.array([[1.0], [1.0]]),
-            b_ub=np.array([1.0, 2.0]),
-            lower=(None,),
-            upper=(None,),
-        )
-        solution = lp_solve(problem)
-        assert solution.value == pytest.approx(1.0, abs=1e-9)
-
-    def test_known_vertex(self):
-        # maximize x + y s.t. x + 2y <= 4, 3x + y <= 6, x,y >= 0
-        # vertex at intersection: x = 8/5, y = 6/5
-        problem = LpProblem(
-            objective=np.array([1.0, 1.0]),
-            a_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
-            b_ub=np.array([4.0, 6.0]),
-            lower=(0.0, 0.0),
-            upper=(None, None),
-        )
-        solution = lp_solve(problem)
-        np.testing.assert_allclose(solution.x, [8.0 / 5.0, 6.0 / 5.0], atol=1e-8)
-        assert solution.value == pytest.approx(14.0 / 5.0, abs=1e-8)
-
-    def test_unbounded_raises(self):
-        problem = LpProblem(
-            objective=np.array([1.0]),
-            a_ub=np.zeros((1, 1)),
-            b_ub=np.array([1.0]),
-            lower=(None,),
-            upper=(None,),
-        )
-        with pytest.raises(RuntimeError):
-            lp_solve(problem)
-
     def test_msm_lp_against_vertex_enumeration(self):
         """Enumerate basic solutions of the MSM polytope and compare."""
         rng = np.random.default_rng(5)
@@ -178,11 +143,11 @@ class TestLpSolve:
         symbols = rng.integers(0, 4, size=2)
         instance = build_instance(H, symbols, 4, 1.0)
         problem = msm_lp_problem(instance)
-        solution = lp_solve(problem)
+        solution = linprog(**problem)
 
         n = 5  # 4 box coordinates + margin variable
         a = instance.amplitude
-        rows = [np.asarray(problem.a_ub)[k] for k in range(4)]
+        rows = [problem["A_ub"][k] for k in range(4)]
         rhs = [0.0] * 4
         for j in range(4):  # box faces as equality candidates
             e = np.zeros(n)
@@ -197,12 +162,12 @@ class TestLpSolve:
                 continue
             vertex = np.linalg.solve(A, b)
             x, t = vertex[:4], vertex[4]
-            feasible = np.all(np.asarray(problem.a_ub) @ vertex <= 1e-9) and np.all(
+            feasible = np.all(problem["A_ub"] @ vertex <= 1e-9) and np.all(
                 np.abs(x) <= a + 1e-9
             )
             if feasible and t > best:
                 best = t
-        assert solution.value == pytest.approx(best, abs=1e-6)
+        assert -solution.fun == pytest.approx(best, abs=1e-6)
 
 
 class TestMsmPrecode:
@@ -249,6 +214,13 @@ class TestMsmPrecode:
         assert report.margin == pytest.approx(
             min_margin(instance, report.x_onebit.x_real), abs=0
         )
+
+    def test_lp_failure_raises(self, monkeypatch):
+        instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), 4, 1.0)
+        failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
+        monkeypatch.setattr(baselines, "linprog", lambda **kwargs: failed)
+        with pytest.raises(RuntimeError, match="infeasible"):
+            msm_precode(instance)
 
 
 class TestRegistry:

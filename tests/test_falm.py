@@ -359,6 +359,21 @@ def assert_same_report(lean, reference):
     assert lean.penalty_gap_trace == reference.penalty_gap_trace
 
 
+class FullTestCounter:
+    """Stands in for numpy inside ``falm`` and counts the APG loop's full
+    tolerance tests: its only dot product of an array with itself."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, *out):
+        self.count += a is b
+        return np.dot(a, b, *out)
+
+
 class TestApgMatchesReference:
     """The lean APG loop is bit-identical to the plain loop, exits included."""
 
@@ -389,6 +404,57 @@ class TestApgMatchesReference:
         assert "cap" in exits
         if step_rule == "fixed-lipschitz":
             assert "cycle" in exits
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    def test_loose_tolerance(self, monkeypatch, step_rule):
+        """At a loose tolerance the probe rail often leaves the decision to
+        the full test, which fires partway through calls; on the other
+        iterations the probe decides alone."""
+        rng = np.random.default_rng(24)
+        config = SolverConfig(apg_tolerance=1e-3, apg_step_rule=step_rule)
+        full_tests = probe_only = 0
+        for _ in range(6):
+            inst = random_instance(rng, n_users=4, n_antennas=8, order=8)
+            counter = FullTestCounter()
+            monkeypatch.setattr(falm, "np", counter)
+            exits = []
+            lean, reference = solve_both(monkeypatch, inst, config, exits=exits)
+            assert_same_report(lean, reference)
+            assert exits.count("tolerance") >= 3
+            # Without a skipped rejected-restart cycle every iteration ran
+            # the probe once, and the full test at most once.
+            if "cycle" not in exits:
+                full_tests += counter.count
+                probe_only += lean.inner_iterations - counter.count
+        assert full_tests > 0 and probe_only > 0
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    def test_probe_rail_on_the_bound(self, monkeypatch, step_rule):
+        """The first probe rail starts at the upper bound a, where the
+        penalty's pull along v = sqrt(P) e_0 pins it (y_0 = z_0), while the
+        other rails move: the full test runs, does not fire, and the probe
+        moves on."""
+        rng = np.random.default_rng(25)
+        inst = random_instance(rng, n_users=3, n_antennas=4, order=8)
+        a = inst.amplitude
+        v = np.zeros(8)
+        v[0] = np.sqrt(inst.power)
+        x0 = rng.uniform(-a, a, size=8)
+        x0[0] = a
+        full_tests = {}
+        for cap in (1, 500):
+            config = SolverConfig(apg_max_iters=cap, apg_step_rule=step_rule)
+            counter = FullTestCounter()
+            monkeypatch.setattr(falm, "np", counter)
+            x, iterations = falm._apg(inst, v, 10.0, 0.01, x0, config)
+            monkeypatch.undo()
+            x_ref, iterations_ref = reference_apg(inst, v, 10.0, 0.01, x0, config)
+            np.testing.assert_array_equal(x, x_ref)
+            assert iterations == iterations_ref
+            full_tests[cap] = counter.count
+        assert x[0] == a and not np.array_equal(x[1:], x0[1:])
+        assert iterations > 1
+        assert full_tests[1] == 1 and full_tests[500] < iterations
 
     @pytest.mark.parametrize("step_rule", STEP_RULES)
     def test_single_calls(self, step_rule):

@@ -195,6 +195,20 @@ class TestRunExperiment:
                 for m in caplog.messages
             )
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failing_realization_is_named(self, monkeypatch, n_workers):
+        real_streams = harness.paired_streams
+
+        def streams(base_seed, realization, t, params, order):
+            if realization == 1:
+                raise ValueError("bad draw")
+            return real_streams(base_seed, realization, t, params, order)
+
+        monkeypatch.setattr(harness, "paired_streams", streams)
+        spec = make_spec(n_realizations=3, n_workers=n_workers)
+        with pytest.raises(RuntimeError, match=r"realization 1 failed: ValueError\('bad draw'\)"):
+            run_experiment(spec)
+
     def test_appending_trials_keeps_earlier_counts(self):
         three = make_spec(
             precoder_ids=("zf-ob", "msm", "falm"),
