@@ -19,17 +19,13 @@ from .channel import (
     RngSeed,
     SystemParams,
     draw_channel,
-    draw_noise,
-    draw_symbol_frame,
     draw_symbols,
-    receive,
 )
-from .constellation import GrayBitMap, MpskConstellation, q_function, sep_union_bound
+from .constellation import MpskConstellation, q_function, sep_union_bound
 from .falm import (
     SolveReport,
     SolverConfig,
     SolverFailure,
-    apg_minimize,
     falm_solve,
     smoothed_gradient,
     smoothed_objective,
@@ -47,12 +43,11 @@ from .precoding import (
     to_complex,
     to_real,
 )
-from .sep_analysis import PerturbedPoint, check_implication, empirical_sep, perturb
+from .sep_analysis import PerturbedPoint, empirical_sep, perturb
 
 __all__ = [
     "BerRecord",
     "ExperimentSpec",
-    "GrayBitMap",
     "MpskConstellation",
     "MsmReport",
     "OneBitVector",
@@ -63,13 +58,9 @@ __all__ = [
     "SolverConfig",
     "SolverFailure",
     "SystemParams",
-    "apg_minimize",
     "available_precoders",
     "build_instance",
-    "check_implication",
     "draw_channel",
-    "draw_noise",
-    "draw_symbol_frame",
     "draw_symbols",
     "empirical_sep",
     "falm_solve",
@@ -81,7 +72,6 @@ __all__ = [
     "perturb",
     "q_function",
     "quantize_one_bit",
-    "receive",
     "register_precoder",
     "run_experiment",
     "safety_margin",

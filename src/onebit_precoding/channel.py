@@ -1,8 +1,9 @@
-"""System parameters, i.i.d. Gaussian channels, noise, and the downlink model
-y_i = h_i^T x + eta_i (plain transpose, no conjugation)."""
+"""System parameters and the seeded channel, symbol and noise draws of the
+downlink y_i = h_i^T x + eta_i (plain transpose, no conjugation)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,11 @@ class SystemParams:
             raise ValueError(f"n_users must be positive, got {self.n_users}")
         if self.block_length < 1:
             raise ValueError(f"block_length must be positive, got {self.block_length}")
-        if self.total_power <= 0:
-            raise ValueError(f"total_power must be positive, got {self.total_power}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        # Written so that NaN fails too.
+        if not 0 < self.total_power < math.inf:
+            raise ValueError(f"total_power must be finite and positive, got {self.total_power}")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,6 @@ def draw_channel(params: SystemParams, seed) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def draw_noise(params: SystemParams, count: int, seed) -> np.ndarray:
-    """Draw ``count`` circular complex Gaussian samples with variance
-    params.noise_var."""
-    rng = _generator(seed)
-    scale = np.sqrt(params.noise_var / 2.0)
-    return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
-
-
 def draw_unit_noise(count: int, seed) -> np.ndarray:
     """CN(0, 1) samples; scaled by per-SNR sigma downstream so the same
     stream serves every SNR point."""
@@ -92,21 +86,3 @@ def draw_symbols(order: int, count: int, seed) -> np.ndarray:
     """Uniformly random symbol indices in [0, order)."""
     rng = _generator(seed)
     return rng.integers(0, order, size=count)
-
-
-def draw_symbol_frame(order: int, params: SystemParams, seed) -> np.ndarray:
-    """K x T frame of uniformly random symbol indices."""
-    rng = _generator(seed)
-    return rng.integers(0, order, size=(params.n_users, params.block_length))
-
-
-def receive(H: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Per-user received samples y_i = h_i^T x + eta_i."""
-    H = np.asarray(H)
-    x = np.asarray(x)
-    noise = np.asarray(noise)
-    if H.shape[1] != x.shape[0] or H.shape[0] != noise.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: H {H.shape}, x {x.shape}, noise {noise.shape}"
-        )
-    return H @ x + noise

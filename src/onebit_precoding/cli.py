@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -31,6 +32,16 @@ from .sep_analysis import run_verification
 
 WORKERS_ENV = "ONEBIT_PRECODING_WORKERS"
 
+# Solver flag -> (SolverConfig field, help); SolverConfig holds the defaults.
+SOLVER_FLAGS = {
+    "mu": ("mu", "smoothing parameter"),
+    "lambda0": ("lambda0", "initial penalty weight"),
+    "delta": ("delta", "penalty growth factor"),
+    "lambda-max": ("lambda_max", "stop once the penalty exceeds this"),
+    "penalty-period": ("penalty_update_period", "outer iterations between penalty increases"),
+}
+_SOLVER_DEFAULTS = SolverConfig()
+
 # desk-scale defaults; the full-protocol sizes are one flag away
 RUN_DEFAULTS = {
     "antennas": 32,
@@ -43,11 +54,7 @@ RUN_DEFAULTS = {
     "precoders": "falm,msm,zf-ob,zf",
     "seed": 1,
     "workers": None,  # resolved from env, else 1
-    "mu": 0.01,
-    "lambda0": 0.01,
-    "delta": 10.0,
-    "lambda-max": 100.0,
-    "penalty-period": 1,
+    **{flag: getattr(_SOLVER_DEFAULTS, name) for flag, (name, _) in SOLVER_FLAGS.items()},
 }
 
 
@@ -71,18 +78,23 @@ def parse_modulation(text: str) -> int:
 def parse_snr(text: str) -> tuple:
     """Accept 'start:step:stop' (inclusive), a comma list, or one value."""
     text = text.strip()
+    is_range = ":" in text
     try:
-        if ":" in text:
-            start, step, stop = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise CliError(f"--snr step must be positive, got {step}")
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            if count < 1:
-                raise CliError(f"--snr range {text!r} is empty")
-            return tuple(start + step * k for k in range(count))
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(":" if is_range else ","))
+        if is_range:
+            start, step, stop = values
     except ValueError:
         raise CliError(f"--snr could not parse {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"--snr values must be finite, got {text!r}")
+    if not is_range:
+        return values
+    if step <= 0:
+        raise CliError(f"--snr step must be positive, got {step}")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if count < 1:
+        raise CliError(f"--snr range {text!r} is empty")
+    return tuple(start + step * k for k in range(count))
 
 
 def read_config_file(path: str) -> dict:
@@ -131,13 +143,7 @@ def build_run_spec(resolved: dict) -> ExperimentSpec:
         trials = int(resolved["trials"])
         seed = int(resolved["seed"])
         workers = int(resolved["workers"])
-        solver = SolverConfig(
-            mu=float(resolved["mu"]),
-            lambda0=float(resolved["lambda0"]),
-            delta=float(resolved["delta"]),
-            lambda_max=float(resolved["lambda-max"]),
-            penalty_update_period=int(resolved["penalty-period"]),
-        )
+        solver = solver_config(resolved)
     except ValueError as exc:
         raise CliError(f"invalid run parameter: {exc}") from None
     if users > 2 * antennas:
@@ -173,27 +179,24 @@ def resolved_header(resolved: dict) -> dict:
     return header
 
 
+def solver_config(values: dict) -> SolverConfig:
+    """SolverConfig from values (numbers or strings) keyed by solver flag; a
+    flag that is absent or None keeps the field's default."""
+    kw = {}
+    for flag, (name, _) in SOLVER_FLAGS.items():
+        if values.get(flag) is not None:
+            kw[name] = type(getattr(_SOLVER_DEFAULTS, name))(values[flag])
+    return SolverConfig(**kw)
+
+
 def _add_solver_flags(parser):
-    parser.add_argument("--mu", type=float, default=None, help="smoothing parameter")
-    parser.add_argument("--lambda0", type=float, default=None, help="initial penalty weight")
-    parser.add_argument("--delta", type=float, default=None, help="penalty growth factor")
-    parser.add_argument("--lambda-max", type=float, default=None, help="stop once the penalty exceeds this")
-    parser.add_argument("--penalty-period", type=int, default=None, help="outer iterations between penalty increases")
+    for flag, (name, text) in SOLVER_FLAGS.items():
+        kind = type(getattr(_SOLVER_DEFAULTS, name))
+        parser.add_argument(f"--{flag}", type=kind, default=None, help=text)
 
 
 def _solver_from_args(args) -> SolverConfig:
-    kw = {}
-    if args.mu is not None:
-        kw["mu"] = args.mu
-    if args.lambda0 is not None:
-        kw["lambda0"] = args.lambda0
-    if args.delta is not None:
-        kw["delta"] = args.delta
-    if args.lambda_max is not None:
-        kw["lambda_max"] = args.lambda_max
-    if args.penalty_period is not None:
-        kw["penalty_update_period"] = args.penalty_period
-    return SolverConfig(**kw)
+    return solver_config({flag: getattr(args, flag.replace("-", "_")) for flag in SOLVER_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,9 +293,9 @@ def _cmd_solve_one(args) -> int:
     print(f"margin:            {report.margin:.6f}")
     print(f"outer iterations:  {report.outer_iterations}")
     print(f"inner iterations:  {report.inner_iterations}")
-    print(f"penalty trace:     {[f'{v:g}' for v in report.lambda_trace]}")
-    print(f"objective trace:   {[f'{v:.4f}' for v in report.objective_trace]}")
-    print(f"penalty gap trace: {[f'{v:.2e}' for v in report.penalty_gap_trace]}")
+    print(f"penalty trace:     {[f'{s.lam:g}' for s in report.steps]}")
+    print(f"objective trace:   {[f'{s.objective:.4f}' for s in report.steps]}")
+    print(f"penalty gap trace: {[f'{s.penalty_gap:.2e}' for s in report.steps]}")
     return 0
 
 

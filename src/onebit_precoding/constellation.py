@@ -1,4 +1,5 @@
-"""MPSK constellations, hard-decision detection, and the classical SEP union bound."""
+"""MPSK constellations with Gray bit labels, hard-decision detection, and the
+classical SEP union bound."""
 
 from __future__ import annotations
 
@@ -31,27 +32,33 @@ def sep_union_bound(alpha: float, sigma: float, order: int) -> float:
     return float(min(1.0, 2.0 * q_function(arg)))
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class MpskConstellation:
     """M-ary PSK symbol set: points exp(2j*pi*n/M) for n = 0..M-1.
 
     The order must be a power of two so symbols carry an integer number of
-    bits. Instances are immutable and safe to share across workers.
+    bits. Symbol n carries the binary-reflected Gray label n ^ (n >> 1), so
+    adjacent indices (mod M) differ in exactly one bit and a nearest-neighbour
+    symbol error flips a single bit; ``bit_distances[a, b]`` is the Hamming
+    distance between the labels of a and b. Instances are immutable and safe
+    to share across workers.
     """
 
     order: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
+    bit_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.order < 2 or not _is_power_of_two(self.order):
+        if self.order < 2 or self.order & (self.order - 1):
             raise ValueError(f"order must be a power of two >= 2, got {self.order}")
-        pts = np.exp(2j * np.pi * np.arange(self.order) / self.order)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        n = np.arange(self.order)
+        pts = np.exp(2j * np.pi * n / self.order)
+        gray = n ^ (n >> 1)
+        labels = (gray[:, None] >> np.arange(self.bits_per_symbol)) & 1
+        distances = (labels[:, None, :] != labels[None, :, :]).sum(axis=2)
+        for name, table in (("points", pts), ("bit_distances", distances)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -72,68 +79,3 @@ class MpskConstellation:
         if arr.ndim == 0:
             return int(idx)
         return idx
-
-
-@dataclass(frozen=True)
-class GrayBitMap:
-    """Binary-reflected Gray mapping between symbol indices and bit labels.
-
-    Adjacent symbol indices (mod M) differ in exactly one bit, so a
-    nearest-neighbour symbol error flips a single bit.
-    """
-
-    order: int
-    _index_to_bits: np.ndarray = field(init=False, repr=False, compare=False)
-    _bits_value_to_index: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.order < 2 or not _is_power_of_two(self.order):
-            raise ValueError(f"order must be a power of two >= 2, got {self.order}")
-        n = np.arange(self.order)
-        gray = n ^ (n >> 1)
-        bps = self.bits_per_symbol
-        shifts = np.arange(bps - 1, -1, -1)
-        table = (gray[:, None] >> shifts[None, :]) & 1  # (M, bps), MSB first
-        inverse = np.empty(self.order, dtype=np.int64)
-        inverse[gray] = n
-        table.flags.writeable = False
-        inverse.flags.writeable = False
-        object.__setattr__(self, "_index_to_bits", table)
-        object.__setattr__(self, "_bits_value_to_index", inverse)
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.order.bit_length() - 1
-
-    def index_to_bits(self, index) -> np.ndarray:
-        """Bit label (MSB first) of one symbol index or an array of them."""
-        return self._index_to_bits[np.asarray(index)]
-
-    def bits_to_index(self, bits) -> int:
-        bits = np.asarray(bits)
-        if bits.shape != (self.bits_per_symbol,):
-            raise ValueError(
-                f"expected {self.bits_per_symbol} bits, got shape {bits.shape}"
-            )
-        value = int(bits @ (1 << np.arange(self.bits_per_symbol - 1, -1, -1)))
-        return int(self._bits_value_to_index[value])
-
-    def bits_to_symbols(self, bits) -> np.ndarray:
-        """Map a flat bit stream to symbol indices, bits_per_symbol at a time."""
-        bits = np.asarray(bits)
-        bps = self.bits_per_symbol
-        if bits.ndim != 1 or bits.size % bps != 0:
-            raise ValueError(
-                f"bit-stream length {bits.size} is not a multiple of {bps}"
-            )
-        values = bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))
-        return self._bits_value_to_index[values]
-
-    def symbols_to_bits(self, indices) -> np.ndarray:
-        """Inverse of bits_to_symbols: flat bit stream of the given indices."""
-        return self._index_to_bits[np.asarray(indices)].reshape(-1)
-
-    def bit_distance_table(self) -> np.ndarray:
-        """(M, M) table of Hamming distances between symbol bit labels."""
-        diff = self._index_to_bits[:, None, :] != self._index_to_bits[None, :, :]
-        return diff.sum(axis=2)

@@ -18,8 +18,8 @@ the one-bit alphabet by componentwise sign (ties to +).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,20 +73,35 @@ class SolverConfig:
             raise ValueError(f"unknown apg_step_rule {self.apg_step_rule!r}")
 
 
-@dataclass
+class OuterStep(NamedTuple):
+    """One outer iteration: the penalty weight in force, the penalized
+    surrogate and the penalty gap after its v-update, and its APG call's
+    iteration count (including the iterations of a rejected-restart cycle
+    that the loop skips, see ``_apg``)."""
+
+    lam: float
+    objective: float
+    penalty_gap: float
+    apg_iterations: int
+
+
+@dataclass(frozen=True)
 class SolveReport:
     """Outcome of one FALM solve. ``margin`` is always evaluated on the
-    quantized one-bit vector that is returned. ``inner_iterations`` sums the
-    APG iteration counts, including the iterations of a rejected-restart
-    cycle that the loop skips (see ``_apg``)."""
+    quantized one-bit vector that is returned; ``steps`` holds one record
+    per outer iteration."""
 
     x_onebit: OneBitVector
     margin: float
-    outer_iterations: int
-    inner_iterations: int
-    objective_trace: list = field(default_factory=list)
-    penalty_gap_trace: list = field(default_factory=list)
-    lambda_trace: list = field(default_factory=list)
+    steps: list
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.steps)
+
+    @property
+    def inner_iterations(self) -> int:
+        return sum(step.apg_iterations for step in self.steps)
 
 
 def _scores(instance: PrecodingInstance, x_real: np.ndarray, mu: float):
@@ -295,20 +310,6 @@ def _apg(instance, v, lam, mu, x_init, config):
     return x.p.copy(), iterations
 
 
-def apg_minimize(
-    instance: PrecodingInstance,
-    v: np.ndarray,
-    lam: float,
-    mu: float,
-    x_init: np.ndarray,
-    config: SolverConfig,
-) -> np.ndarray:
-    """Approximately minimize f(x) + lambda*(P - x.v) over the box, by
-    Nesterov-accelerated projected gradient with clamp projection."""
-    x, _ = _apg(instance, np.asarray(v, dtype=float), lam, mu, x_init, config)
-    return x
-
-
 def falm_solve(
     instance: PrecodingInstance,
     config: Optional[SolverConfig] = None,
@@ -320,9 +321,8 @@ def falm_solve(
     ``init`` may be None (x0 = v0 = 0, the standard start), an explicit real
     2N vector, or an integer seed for a uniform random point in the box. Each
     APG call warm-starts from the previous outer iterate. ``trace_file``
-    optionally receives one CSV row per outer iteration for debugging; its
-    ``inner_iters`` column is that APG call's count, which runs up to the cap
-    when the call ends in a rejected-restart cycle.
+    optionally receives each outer step of the report as a CSV row for
+    debugging; its ``inner_iters`` column is the step's APG count.
     """
     if config is None:
         config = SolverConfig()
@@ -338,9 +338,7 @@ def falm_solve(
             raise ValueError(f"init shape {x.shape} does not match ({n2},)")
     v = np.zeros(n2)
 
-    report = SolveReport(
-        x_onebit=None, margin=np.nan, outer_iterations=0, inner_iterations=0
-    )
+    steps = []
     close_trace = False
     if isinstance(trace_file, str):
         trace_file = open(trace_file, "w", encoding="utf-8")
@@ -350,18 +348,13 @@ def falm_solve(
 
     try:
         lam = config.lambda0
-        k = 0
         while lam <= config.lambda_max:
-            report.lambda_trace.append(lam)
             x, inner = _apg(instance, v, lam, config.mu, x, config)
             v = update_v(x, instance.power)
-            k += 1
-            report.outer_iterations = k
-            report.inner_iterations += inner
             gap = instance.power - x @ v
             objective = smoothed_objective(instance, x, config.mu) + lam * gap
-            report.objective_trace.append(objective)
-            report.penalty_gap_trace.append(gap)
+            steps.append(OuterStep(lam, objective, gap, inner))
+            k = len(steps)
             if trace_file is not None:
                 trace_file.write(f"{k},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
             if k % config.penalty_update_period == 0:
@@ -371,6 +364,4 @@ def falm_solve(
             trace_file.close()
 
     x_q = quantize_one_bit(x, instance.power)
-    report.x_onebit = OneBitVector(x_q, instance.power)
-    report.margin = min_margin(instance, x_q)
-    return report
+    return SolveReport(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps)

@@ -31,7 +31,7 @@ from .channel import (
     draw_symbols,
     draw_unit_noise,
 )
-from .constellation import GrayBitMap, MpskConstellation
+from .constellation import MpskConstellation
 from .falm import SolverConfig
 
 logger = logging.getLogger(__name__)
@@ -63,8 +63,8 @@ class ExperimentSpec:
             raise ValueError("precoder_ids must be non-empty")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        # dimension/power validation
-        self.system_params(self.snr_db[0])
+        for snr in self.snr_db:  # dimension and power validation
+            self.system_params(snr)
 
     def system_params(self, snr_db: float) -> SystemParams:
         return SystemParams(
@@ -72,7 +72,7 @@ class ExperimentSpec:
             n_users=self.n_users,
             block_length=self.block_length,
             total_power=self.total_power,
-            noise_var=self.total_power / 10.0 ** (snr_db / 10.0),
+            noise_var=self.total_power * 10.0 ** (-snr_db / 10.0),
         )
 
 
@@ -118,8 +118,6 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     with the first two shaped (precoders, snrs, users).
     """
     constellation = MpskConstellation(spec.order)
-    gray = GrayBitMap(spec.order)
-    bit_dist = gray.bit_distance_table()
     precoders = [get_precoder(pid, spec.solver) for pid in spec.precoder_ids]
     params = spec.system_params(spec.snr_db[0])
     sigmas = np.array([np.sqrt(spec.total_power / 10.0 ** (s / 10.0)) for s in spec.snr_db])
@@ -166,7 +164,7 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
             # One row per SNR point.
             detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
             symbol_errors[p] += detected != symbols
-            bit_errors[p] += bit_dist[symbols, detected]
+            bit_errors[p] += constellation.bit_distances[symbols, detected]
     return bit_errors, symbol_errors, ok_instances, failures, seconds
 
 

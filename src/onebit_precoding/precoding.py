@@ -79,10 +79,6 @@ class OneBitVector:
         x.flags.writeable = False
         object.__setattr__(self, "x_real", x)
 
-    @classmethod
-    def from_complex(cls, x: np.ndarray, power: float) -> "OneBitVector":
-        return cls(to_real(x), power)
-
     def to_complex(self) -> np.ndarray:
         return to_complex(self.x_real)
 

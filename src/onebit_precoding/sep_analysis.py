@@ -46,19 +46,6 @@ def perturb(z: complex, order: int) -> PerturbedPoint:
     return PerturbedPoint(z=z, z_hat=z_hat, delta_z=delta_z, order=order)
 
 
-def check_implication(z: complex, eta: complex, order: int):
-    """Evaluate (dec(shifted) correct?, dec(unshifted) correct?, implication
-    holds?) for one noise draw. The implication is
-    'shifted correct => unshifted correct' and holds for every draw except
-    on the measure-zero sector boundaries, where the half-open decision
-    tie-break can differ from the closed-sector geometry."""
-    c = MpskConstellation(order)
-    z_hat = perturb(z, order).z_hat
-    correct_shifted = c.decide(z_hat + eta) == 0
-    correct = c.decide(z + eta) == 0
-    return correct_shifted, correct, (not correct_shifted) or correct
-
-
 @dataclass(frozen=True)
 class SepEstimate:
     """Monte-Carlo error-probability estimates for a point and its shift,

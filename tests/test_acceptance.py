@@ -252,7 +252,7 @@ def test_criterion_06_falm_vs_brute_force():
 def test_criterion_07_penalty_schedule():
     rng = np.random.default_rng(707)
     inst = random_instance(rng, n_users=4, n_antennas=8, order=8)
-    trace = falm_solve(inst).lambda_trace
+    trace = [step.lam for step in falm_solve(inst).steps]
     ok = np.allclose(trace, [0.01, 0.1, 1.0, 10.0, 100.0], rtol=0, atol=0)
     line = report(7, "default penalty schedule", ok, f"trace {trace}")
     assert ok, line

@@ -1,17 +1,10 @@
-"""Tests for channel/noise generation, determinism, and the downlink model."""
+"""Tests for system parameters and the seeded channel, symbol and noise draws."""
 
 import numpy as np
 import pytest
 
-from onebit_precoding import (
-    RngSeed,
-    SystemParams,
-    draw_channel,
-    draw_noise,
-    draw_symbol_frame,
-    draw_symbols,
-    receive,
-)
+from onebit_precoding import RngSeed, SystemParams, draw_channel, draw_symbols
+from onebit_precoding.channel import draw_unit_noise
 
 
 def make_params(**overrides):
@@ -31,6 +24,11 @@ class TestSystemParams:
             ("block_length", 0),
             ("total_power", 0.0),
             ("noise_var", -1.0),
+            ("total_power", np.nan),
+            ("total_power", np.inf),
+            ("noise_var", np.nan),
+            ("noise_var", np.inf),
+            ("noise_var", -np.inf),
         ],
     )
     def test_rejects_non_positive(self, field, value):
@@ -80,18 +78,9 @@ class TestDrawChannel:
 
 class TestDrawNoise:
     def test_deterministic(self):
-        params = make_params(noise_var=0.25)
-        n1 = draw_noise(params, 32, RngSeed(9, (2,)))
-        n2 = draw_noise(params, 32, RngSeed(9, (2,)))
+        n1 = draw_unit_noise(32, RngSeed(9, (2,)))
+        n2 = draw_unit_noise(32, RngSeed(9, (2,)))
         np.testing.assert_array_equal(n1, n2)
-
-    def test_variance_tracks_sigma_squared(self):
-        params = make_params(noise_var=0.25)
-        samples = np.concatenate(
-            [draw_noise(params, 10_000, RngSeed(1, (k,))) for k in range(100)]
-        )
-        assert abs(samples.mean()) < 0.005
-        assert abs(np.mean(np.abs(samples) ** 2) - 0.25) < 0.01 * 0.25
 
 
 class TestSymbols:
@@ -99,57 +88,3 @@ class TestSymbols:
         sym = draw_symbols(8, 1000, RngSeed(3, (1,)))
         assert sym.min() >= 0 and sym.max() < 8
         np.testing.assert_array_equal(sym, draw_symbols(8, 1000, RngSeed(3, (1,))))
-
-    def test_frame_shape(self):
-        params = make_params(n_users=5, block_length=7)
-        frame = draw_symbol_frame(4, params, 0)
-        assert frame.shape == (5, 7)
-        assert frame.min() >= 0 and frame.max() < 4
-
-
-class TestReceive:
-    def test_identity_channel_returns_transmit(self):
-        H = np.eye(4, dtype=complex)
-        x = np.array([1 + 1j, -1 + 0j, 0.5j, 2 - 1j])
-        np.testing.assert_allclose(receive(H, x, np.zeros(4)), x)
-
-    def test_zero_transmit_returns_noise(self):
-        rng = np.random.default_rng(0)
-        H = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        noise = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        np.testing.assert_allclose(receive(H, np.zeros(5), noise), noise)
-
-    def test_against_double_loop_oracle(self):
-        rng = np.random.default_rng(4)
-        H = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-        x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        noise = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        y = receive(H, x, noise)
-        expected = np.array(
-            [sum(H[i, j] * x[j] for j in range(9)) + noise[i] for i in range(6)]
-        )
-        np.testing.assert_allclose(y, expected, atol=1e-12)
-
-    def test_uses_plain_transpose_not_conjugate(self):
-        H = np.array([[1j]])
-        x = np.array([1.0 + 0j])
-        assert receive(H, x, np.zeros(1))[0] == 1j
-
-    def test_linear_in_transmit_and_noise(self):
-        rng = np.random.default_rng(8)
-        H = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
-        x1 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        x2 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        n1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        n2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lhs = receive(H, 2.0 * x1 + x2, n1 + 3.0 * n2)
-        rhs = 2.0 * receive(H, x1, np.zeros(4)) + receive(H, x2, n1) + 3.0 * receive(
-            H, np.zeros(7), n2
-        )
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            receive(np.eye(3, dtype=complex), np.zeros(4), np.zeros(3))
-        with pytest.raises(ValueError):
-            receive(np.eye(3, dtype=complex), np.zeros(3), np.zeros(2))

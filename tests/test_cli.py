@@ -1,10 +1,12 @@
 """Tests for the command-line interface: parsing, validation, subcommands,
 and the config round trip."""
 
-import numpy as np
 import pytest
 
+from onebit_precoding import SolverConfig
+from onebit_precoding import cli
 from onebit_precoding.cli import (
+    WORKERS_ENV,
     CliError,
     main,
     parse_modulation,
@@ -40,8 +42,8 @@ class TestParsers:
         assert parse_snr("12") == (12.0,)
 
     def test_snr_errors(self):
-        for bad in ("0:0:10", "abc", "1:2", "5:-1:0"):
-            with pytest.raises(CliError):
+        for bad in ("0:0:10", "abc", "1:2", "5:-1:0", "10,nan", "nan,10", "-inf", "0:5:inf"):
+            with pytest.raises(CliError, match="--snr"):
                 parse_snr(bad)
 
     def test_config_file(self, tmp_path):
@@ -113,6 +115,48 @@ class TestRunCommand:
         assert main(["run", "--config", str(first), "--out", str(second)]) == 0
         assert strip_timing(first.read_text()) == strip_timing(second.read_text())
 
+    @pytest.mark.parametrize("snr", ["10,nan", "nan,10"])
+    def test_rejects_non_finite_snr(self, tmp_path, capsys, snr):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["run", "--antennas", "4", "--users", "2", "--block", "2", "--trials", "2",
+             "--precoders", "zf-ob", "--snr", snr, "--out", str(out)]
+        )
+        assert code == 2
+        assert "--snr" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_header_is_stable(self, tmp_path, monkeypatch):
+        """The replay header's keys, order and default values; its solver
+        entries are SolverConfig()'s own defaults."""
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
+        out = tmp_path / "o.csv"
+        assert main(["run", "--out", str(out)]) == 0
+        header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert header == [
+            "# antennas = 32", "# users = 8", "# block = 100", "# power = 1.0",
+            "# mod = psk8", "# snr = 0,5,10,15,20,25", "# trials = 100",
+            "# precoders = falm,msm,zf-ob,zf", "# seed = 1", "# workers = 1",
+            "# mu = 0.01", "# lambda0 = 0.01", "# delta = 10.0",
+            "# lambda-max = 100.0", "# penalty-period = 1",
+        ]
+        fields = {"mu": "mu", "lambda0": "lambda0", "delta": "delta",
+                  "lambda-max": "lambda_max", "penalty-period": "penalty_update_period"}
+        values = dict(l[2:].split(" = ") for l in header)
+        defaults = SolverConfig()
+        assert {k: values[k] for k in fields} == {
+            k: str(getattr(defaults, f)) for k, f in fields.items()
+        }
+
+    def test_solver_flags_reach_the_spec(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        args = ["run", "--mu", "0.02", "--lambda-max", "50", "--penalty-period", "2",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 0
+        assert specs[0].solver == SolverConfig(mu=0.02, lambda_max=50.0, penalty_update_period=2)
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("antennas = 8\nusers = 2\nblock = 2\ntrials = 2\n"
@@ -161,3 +205,27 @@ class TestOtherCommands:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) != 0
+
+
+class TestWorkers:
+    """ONEBIT_PRECODING_WORKERS sets the worker count when --workers is not
+    given, the flag overrides it, and the header records the resolved count."""
+
+    def run(self, tmp_path, monkeypatch, *flags):
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        out = tmp_path / "o.csv"
+        assert main(["run", "--precoders", "zf", "--out", str(out), *flags]) == 0
+        return specs[0].n_workers, out.read_text().splitlines()
+
+    def test_environment_sets_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        workers, lines = self.run(tmp_path, monkeypatch)
+        assert workers == 3
+        assert "# workers = 3" in lines
+
+    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        workers, lines = self.run(tmp_path, monkeypatch, "--workers", "2")
+        assert workers == 2
+        assert "# workers = 2" in lines

@@ -11,7 +11,6 @@ from onebit_precoding import (
     PrecodingInstance,
     SolverConfig,
     SolverFailure,
-    apg_minimize,
     build_instance,
     falm_solve,
     min_margin,
@@ -290,7 +289,7 @@ class TestApg:
         inst = build_instance(h, np.array([0]), 2, 1.0)  # u = w = [-c, 0]
         config = SolverConfig(apg_max_iters=5000)
         mu = 0.01
-        x = apg_minimize(inst, np.zeros(2), 0.0, mu, np.zeros(2), config)
+        x = falm._apg(inst, np.zeros(2), 0.0, mu, np.zeros(2), config)[0]
         a = inst.amplitude
         expected = -c * a + mu * np.log(2.0)
         assert smoothed_objective(inst, x, mu) == pytest.approx(expected, abs=1e-6)
@@ -305,7 +304,7 @@ class TestApg:
             v = update_v(rng.uniform(-a, a, size=6), 1.0)
             lam = rng.uniform(0.0, 10.0)
             x0 = rng.uniform(-a, a, size=6)
-            x = apg_minimize(inst, v, lam, 0.01, x0, config)
+            x = falm._apg(inst, v, lam, 0.01, x0, config)[0]
             f0 = _penalized_value(inst, x0, 0.01, lam, v)
             f1 = _penalized_value(inst, x, 0.01, lam, v)
             assert f1 <= f0 + 1e-12
@@ -317,7 +316,7 @@ class TestApg:
         mu, lam = 0.05, 0.5
         v = update_v(rng.uniform(-0.4, 0.4, size=4), 1.0)
         config = SolverConfig(apg_max_iters=20000, apg_tolerance=1e-10, apg_step_rule=step_rule)
-        x = apg_minimize(inst, v, lam, mu, np.zeros(4), config)
+        x = falm._apg(inst, v, lam, mu, np.zeros(4), config)[0]
 
         def batch_objective(points):
             z = points @ inst.stacked.T / mu
@@ -334,7 +333,7 @@ class TestApg:
             u=np.array([[np.inf, 0.0]]), w=np.array([[0.0, 0.0]]), order=2, power=1.0
         )
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure):
-            apg_minimize(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig())
+            falm._apg(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig())
 
 
 STEP_RULES = ["fixed-lipschitz", "backtracking"]
@@ -352,11 +351,7 @@ def solve_both(monkeypatch, instance, config, init=None, exits=None):
 def assert_same_report(lean, reference):
     np.testing.assert_array_equal(lean.x_onebit.x_real, reference.x_onebit.x_real)
     assert lean.margin == reference.margin
-    assert lean.outer_iterations == reference.outer_iterations
-    assert lean.inner_iterations == reference.inner_iterations
-    assert lean.lambda_trace == reference.lambda_trace
-    assert lean.objective_trace == reference.objective_trace
-    assert lean.penalty_gap_trace == reference.penalty_gap_trace
+    assert lean.steps == reference.steps
 
 
 class FullTestCounter:
@@ -489,7 +484,7 @@ class TestFalmSolve:
         rng = np.random.default_rng(12)
         inst = random_instance(rng)
         report = falm_solve(inst)
-        np.testing.assert_allclose(report.lambda_trace, [0.01, 0.1, 1.0, 10.0, 100.0])
+        np.testing.assert_allclose([s.lam for s in report.steps], [0.01, 0.1, 1.0, 10.0, 100.0])
         assert report.outer_iterations == 5
 
     def test_penalty_update_period_two(self):
@@ -498,7 +493,7 @@ class TestFalmSolve:
         config = SolverConfig(penalty_update_period=2, apg_max_iters=200)
         report = falm_solve(inst, config)
         np.testing.assert_allclose(
-            report.lambda_trace,
+            [s.lam for s in report.steps],
             [0.01, 0.01, 0.1, 0.1, 1.0, 1.0, 10.0, 10.0, 100.0, 100.0],
         )
 
@@ -544,7 +539,7 @@ class TestFalmSolve:
         v = np.zeros(6)
         for lam in (0.01, 0.1, 1.0, 10.0, 100.0):
             before = _penalized_value(inst, x, config.mu, lam, v)
-            x = apg_minimize(inst, v, lam, config.mu, x, config)
+            x = falm._apg(inst, v, lam, config.mu, x, config)[0]
             v = update_v(x, inst.power)
             after = _penalized_value(inst, x, config.mu, lam, v)
             assert after <= before + 1e-10
@@ -564,17 +559,32 @@ class TestFalmSolve:
         rng = np.random.default_rng(19)
         inst = random_instance(rng)
         path = tmp_path / "trace.csv"
-        falm_solve(inst, trace_file=str(path))
+        report = falm_solve(inst, trace_file=str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "outer_iter,lambda,objective,penalty_gap,inner_iters"
+        assert lines[1:] == [
+            f"{k},{s.lam:.6g},{s.objective:.12g},{s.penalty_gap:.12g},{s.apg_iterations}"
+            for k, s in enumerate(report.steps, 1)
+        ]
         assert len(lines) == 6
+
+    def test_iteration_counts_derive_from_steps(self):
+        rng = np.random.default_rng(19)
+        inst = random_instance(rng)
+        config = SolverConfig(apg_max_iters=40)
+        report = falm_solve(inst, config)
+        counts = [s.apg_iterations for s in report.steps]
+        assert report.outer_iterations == len(counts) == 5
+        assert report.inner_iterations == sum(counts)
+        assert all(1 <= c <= 40 for c in counts)
 
     def test_penalty_gap_trace_shrinks(self):
         rng = np.random.default_rng(20)
         inst = random_instance(rng, n_users=2, n_antennas=8)
         report = falm_solve(inst)
-        assert report.penalty_gap_trace[-1] < report.penalty_gap_trace[0]
-        assert all(g >= -1e-9 for g in report.penalty_gap_trace)
+        gaps = [s.penalty_gap for s in report.steps]
+        assert gaps[-1] < gaps[0]
+        assert all(g >= -1e-9 for g in gaps)
 
 
 class TestSolverConfig:

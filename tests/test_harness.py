@@ -284,6 +284,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_spec(precoder_ids=())
 
+    @pytest.mark.parametrize("snr_db", [(10.0, np.nan), (np.nan, 10.0), (np.inf,), (0.0, -np.inf)])
+    def test_rejects_non_finite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="noise_var must be finite and positive"):
+            make_spec(snr_db=snr_db)
+
     def test_system_params_noise_var(self):
         spec = make_spec(total_power=2.0)
         params = spec.system_params(10.0)

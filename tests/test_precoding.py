@@ -99,6 +99,11 @@ class TestSafetyMargin:
         x = np.array([1.0 + 0.5j])
         assert safety_margin(h, x, 1.0, 4) == pytest.approx(0.5, abs=1e-12)
 
+    def test_uses_plain_transpose_not_conjugate(self):
+        # y = h^T x with h = j, x = 1: rotated back by s = j this is 1, so the
+        # margin is 1. A conjugating model (h^H x = -j) would give -1.
+        assert safety_margin(np.array([1j]), np.array([1.0 + 0j]), 1j, 4) == 1.0
+
     def test_negative_margin_oracle(self):
         h = np.array([1.0 + 0j])
         x = np.array([0.2 + 0.9j])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from onebit_precoding import (
+    MpskConstellation,
     RngSeed,
-    check_implication,
     empirical_sep,
     perturb,
     sep_union_bound,
 )
-from onebit_precoding.sep_analysis import run_verification
+from onebit_precoding.sep_analysis import _implication_violations, run_verification
 
 
 class TestPerturb:
@@ -39,30 +39,32 @@ class TestPerturb:
             assert shifted.real == pytest.approx(p.z_hat, abs=1e-12)
 
 
+def decisions(z, eta, order):
+    """(dec(shifted) correct?, dec(unshifted) correct?) for one noise draw."""
+    c = MpskConstellation(order)
+    return c.decide(perturb(z, order).z_hat + eta) == 0, c.decide(z + eta) == 0
+
+
 class TestCheckImplication:
+    """The per-draw implication 'shifted correct => unshifted correct'."""
+
     def test_clean_reception(self):
-        assert check_implication(1.0 + 0j, 0j, 8) == (True, True, True)
+        assert decisions(1.0 + 0j, 0j, 8) == (True, True)
 
     def test_sector_edge_knife_case(self):
         # 1+j sits exactly on a QPSK sector edge. The shifted point collapses
         # to (numerically almost) zero and does not decode to index 0, so the
         # implication holds vacuously at this measure-zero input.
-        shifted_ok, plain_ok, holds = check_implication(1 + 1j, 0j, 4)
+        shifted_ok, plain_ok = decisions(1 + 1j, 0j, 4)
         assert shifted_ok is False
         assert plain_ok is False  # the edge phase goes to the upper sector
-        assert holds is True
 
     def test_noise_pushing_both_wrong(self):
-        shifted_ok, plain_ok, holds = check_implication(1.0 + 0j, -10.0 + 0j, 8)
-        assert not shifted_ok and not plain_ok and holds
+        assert decisions(1.0 + 0j, -10.0 + 0j, 8) == (False, False)
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_no_violations_on_random_draws(self, order):
-        rng = np.random.default_rng(order)
-        for _ in range(2000):
-            z = complex(*rng.standard_normal(2))
-            eta = complex(*rng.standard_normal(2))
-            assert check_implication(z, eta, order)[2]
+        assert _implication_violations(order, 2000, RngSeed(order)) == 0
 
 
 class TestEmpiricalSep:
