@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .constellation import MpskConstellation
 from .falm import SolverConfig, falm_solve
@@ -42,22 +42,20 @@ def zf_onebit(H: np.ndarray, symbols, constellation: MpskConstellation, power: f
 
 def msm_lp_problem(instance: PrecodingInstance) -> dict:
     """Box relaxation of the max-min-margin design as keyword arguments of
-    ``scipy.optimize.linprog``: over [x; t], maximize t (minimize -t)
-    subject to every margin form + t <= 0 and |x_j| <= sqrt(P/2N)."""
+    ``scipy.optimize.milp`` (no integrality, so an LP): over [x; t],
+    maximize t (minimize -t) subject to every margin form + t <= 0 and
+    |x_j| <= sqrt(P/2N)."""
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
     forms = instance.stacked
     objective = np.zeros(n2 + 1)
     objective[-1] = -1.0
-    bounds = np.empty((n2 + 1, 2))
-    bounds[:n2] = -a, a
-    bounds[n2] = -np.inf, np.inf
+    upper = np.full(n2 + 1, a)
+    upper[n2] = np.inf
     return dict(
         c=objective,
-        A_ub=np.hstack([forms, np.ones((forms.shape[0], 1))]),
-        b_ub=np.zeros(forms.shape[0]),
-        bounds=bounds,
-        method="highs",
+        constraints=LinearConstraint(np.hstack([forms, np.ones((forms.shape[0], 1))]), -np.inf, 0.0),
+        bounds=Bounds(-upper, upper),
     )
 
 
@@ -74,8 +72,11 @@ class MsmReport:
 
 def msm_precode(instance: PrecodingInstance) -> MsmReport:
     """Maximum-safety-margin design: solve the box-relaxed LP, then quantize
-    componentwise by sign (ties to +)."""
-    solution = linprog(**msm_lp_problem(instance))
+    componentwise by sign (ties to +). The LP goes through ``milp``, whose
+    per-call input checks cost less than ``linprog``'s, with HiGHS's presolve
+    off: it reduces nothing on these dense LPs and took a fifth to a quarter
+    of the solve time."""
+    solution = milp(**msm_lp_problem(instance), options={"presolve": False})
     if solution.status != 0:
         raise RuntimeError(f"MSM LP solve failed: {solution.message}")
     n2 = 2 * instance.n_antennas

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -63,16 +64,33 @@ class ExperimentSpec:
             raise ValueError("precoder_ids must be non-empty")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        for snr in self.snr_db:  # dimension and power validation
+        MpskConstellation(self.order)  # order validation
+        for snr in self.snr_db:  # dimension, power and SNR validation
             self.system_params(snr)
 
     def system_params(self, snr_db: float) -> SystemParams:
+        """Parameters at one SNR point, with noise_var = P / 10**(snr/10).
+        A point whose noise variance leaves the positive float range raises
+        a ValueError naming the point."""
+        snr_db = float(snr_db)  # Python float arithmetic, which raises on overflow
+        try:
+            noise_var = self.total_power / 10.0 ** (snr_db / 10.0)
+        except OverflowError:  # 10**(snr/10) overflows, so noise_var underflows
+            noise_var = 0.0
+        except ZeroDivisionError:  # 10**(snr/10) underflows to 0
+            noise_var = math.inf
+        # An invalid total_power is left for SystemParams to name.
+        if not 0 < noise_var < math.inf and 0 < self.total_power < math.inf:
+            raise ValueError(
+                f"SNR point {snr_db:g} dB is out of range: "
+                f"noise_var must be finite and positive, got {noise_var}"
+            )
         return SystemParams(
             n_antennas=self.n_antennas,
             n_users=self.n_users,
             block_length=self.block_length,
             total_power=self.total_power,
-            noise_var=self.total_power * 10.0 ** (-snr_db / 10.0),
+            noise_var=noise_var,
         )
 
 
@@ -120,7 +138,7 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     constellation = MpskConstellation(spec.order)
     precoders = [get_precoder(pid, spec.solver) for pid in spec.precoder_ids]
     params = spec.system_params(spec.snr_db[0])
-    sigmas = np.array([np.sqrt(spec.total_power / 10.0 ** (s / 10.0)) for s in spec.snr_db])
+    sigmas = np.array([np.sqrt(spec.system_params(s).noise_var) for s in spec.snr_db])
 
     n_p, n_s, n_u = len(precoders), len(sigmas), spec.n_users
     bit_errors = np.zeros((n_p, n_s, n_u), dtype=np.int64)

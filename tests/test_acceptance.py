@@ -272,6 +272,7 @@ DESK_SPEC = ExperimentSpec(
 )
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_curves():
     start = time.perf_counter()
     records = run_experiment(DESK_SPEC)
@@ -308,6 +309,7 @@ def test_criterion_08_desk_scale_curves():
     assert ok, line
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("RUN_FULL_SCALE"),
     reason="optional long-running criterion; set RUN_FULL_SCALE=1",

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 
 from onebit_precoding import (
     MpskConstellation,
@@ -16,6 +16,7 @@ from onebit_precoding import (
     min_margin,
     msm_precode,
     one_bit_amplitude,
+    quantize_one_bit,
     register_precoder,
     to_real,
     zf_onebit,
@@ -51,6 +52,27 @@ def solve_hermitian_by_elimination(A, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - A[row, row + 1 :] @ x[row + 1 :]) / A[row, row]
     return x
+
+
+def presolved_linprog(instance):
+    """MSM's LP written independently for ``linprog`` and solved with
+    HiGHS's defaults, presolve on: the reference for the presolve-free
+    ``milp`` solve inside ``msm_precode``."""
+    a = instance.amplitude
+    n2 = 2 * instance.n_antennas
+    forms = instance.stacked
+    objective = np.zeros(n2 + 1)
+    objective[-1] = -1.0
+    bounds = np.empty((n2 + 1, 2))
+    bounds[:n2] = -a, a
+    bounds[n2] = -np.inf, np.inf
+    return linprog(
+        objective,
+        A_ub=np.hstack([forms, np.ones((forms.shape[0], 1))]),
+        b_ub=np.zeros(forms.shape[0]),
+        bounds=bounds,
+        method="highs",
+    )
 
 
 class TestZfPrecode:
@@ -143,11 +165,12 @@ class TestLpSolve:
         symbols = rng.integers(0, 4, size=2)
         instance = build_instance(H, symbols, 4, 1.0)
         problem = msm_lp_problem(instance)
-        solution = linprog(**problem)
+        solution = milp(**problem)
+        forms = problem["constraints"].A
 
         n = 5  # 4 box coordinates + margin variable
         a = instance.amplitude
-        rows = [problem["A_ub"][k] for k in range(4)]
+        rows = [forms[k] for k in range(4)]
         rhs = [0.0] * 4
         for j in range(4):  # box faces as equality candidates
             e = np.zeros(n)
@@ -162,7 +185,7 @@ class TestLpSolve:
                 continue
             vertex = np.linalg.solve(A, b)
             x, t = vertex[:4], vertex[4]
-            feasible = np.all(problem["A_ub"] @ vertex <= 1e-9) and np.all(
+            feasible = np.all(forms @ vertex <= 1e-9) and np.all(
                 np.abs(x) <= a + 1e-9
             )
             if feasible and t > best:
@@ -218,9 +241,24 @@ class TestMsmPrecode:
     def test_lp_failure_raises(self, monkeypatch):
         instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), 4, 1.0)
         failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
-        monkeypatch.setattr(baselines, "linprog", lambda **kwargs: failed)
+        monkeypatch.setattr(baselines, "milp", lambda **kwargs: failed)
         with pytest.raises(RuntimeError, match="infeasible"):
             msm_precode(instance)
+
+    @pytest.mark.parametrize("n_antennas, n_users, count", [(32, 8, 30), (128, 24, 5)])
+    def test_matches_presolved_linprog(self, n_antennas, n_users, count):
+        """Presolve off changes no output: the quantized vector is identical
+        and the optimum agrees to rounding."""
+        rng = np.random.default_rng(11)
+        for _ in range(count):
+            H = gaussian_channel(rng, n_users, n_antennas)
+            instance = build_instance(H, rng.integers(0, 8, size=n_users), 8, 1.0)
+            reference = presolved_linprog(instance)
+            assert reference.status == 0
+            report = msm_precode(instance)
+            x_ref = quantize_one_bit(reference.x[: 2 * n_antennas], 1.0)
+            np.testing.assert_array_equal(report.x_onebit.x_real, x_ref)
+            assert report.relaxed_optimum == pytest.approx(-reference.fun, abs=1e-9)
 
 
 class TestRegistry:

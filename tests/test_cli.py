@@ -126,6 +126,18 @@ class TestRunCommand:
         assert "--snr" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["-4000", "0,4000"])
+    def test_rejects_out_of_range_snr(self, tmp_path, capsys, snr):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["run", "--antennas", "4", "--users", "2", "--block", "2", "--trials", "2",
+             "--precoders", "zf-ob", "--snr", snr, "--out", str(out)]
+        )
+        assert code == 2
+        point = snr.split(",")[-1]
+        assert f"SNR point {point} dB is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_header_is_stable(self, tmp_path, monkeypatch):
         """The replay header's keys, order and default values; its solver
         entries are SolverConfig()'s own defaults."""

@@ -289,10 +289,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="noise_var must be finite and positive"):
             make_spec(snr_db=snr_db)
 
+    @pytest.mark.parametrize("snr_db", [(-4000.0,), (0.0, 4000.0), (np.float64(-4000.0),), (-3090.0,)])
+    def test_rejects_out_of_range_snr(self, snr_db):
+        """A finite SNR whose noise variance over- or underflows is named."""
+        with pytest.raises(ValueError, match=f"SNR point {snr_db[-1]:g} dB is out of range"):
+            make_spec(snr_db=snr_db)
+
+    def test_bad_power_is_named_before_snr(self):
+        with pytest.raises(ValueError, match="total_power must be finite and positive"):
+            make_spec(total_power=-1.0)
+
+    @pytest.mark.parametrize("order", [6, 1, 0])
+    def test_rejects_bad_order(self, order):
+        with pytest.raises(ValueError, match="order must be a power of two"):
+            make_spec(order=order)
+
     def test_system_params_noise_var(self):
         spec = make_spec(total_power=2.0)
         params = spec.system_params(10.0)
         assert params.noise_var == pytest.approx(0.2)
+        # The expression every sigma in the sweep is taken from.
+        for snr in (-7.5, 0.0, 3.0, 25.0):
+            assert spec.system_params(snr).noise_var == 2.0 / 10.0 ** (snr / 10.0)
 
 
 class TestCsv:
