@@ -26,8 +26,12 @@ from .precoding import (
 def zf_precode(H: np.ndarray, symbols, constellation: MpskConstellation, power: float) -> np.ndarray:
     """Zero-forcing transmit vector via the minimum-norm right inverse,
     x = c * H^H (H H^H)^-1 s, scaled so |x|^2 = P. Every user then receives
-    exactly c * s_i before noise. Requires K <= N with H full row rank."""
+    exactly c * s_i before noise. Requires K <= N with H full row rank;
+    K > N raises ValueError, since H H^H is then singular."""
     H = np.asarray(H)
+    n_users, n_antennas = H.shape
+    if n_users > n_antennas:
+        raise ValueError(f"zero forcing needs K <= N, got K={n_users} > N={n_antennas}")
     s = constellation.points[np.asarray(symbols)]
     x = H.conj().T @ np.linalg.solve(H @ H.conj().T, s)
     return np.sqrt(power) / np.linalg.norm(x) * x

@@ -38,7 +38,6 @@ SOLVER_FLAGS = {
     "lambda0": ("lambda0", "initial penalty weight"),
     "delta": ("delta", "penalty growth factor"),
     "lambda-max": ("lambda_max", "stop once the penalty exceeds this"),
-    "penalty-period": ("penalty_update_period", "outer iterations between penalty increases"),
 }
 _SOLVER_DEFAULTS = SolverConfig()
 
@@ -97,6 +96,16 @@ def parse_snr(text: str) -> tuple:
     return tuple(start + step * k for k in range(count))
 
 
+def check_dimensions(antennas: int, users: int) -> None:
+    """The system-size checks every subcommand shares."""
+    if antennas < 1:
+        raise CliError(f"--antennas must be >= 1, got {antennas}")
+    if users < 1:
+        raise CliError(f"--users must be >= 1, got {users}")
+    if users > 2 * antennas:
+        raise CliError(f"--users {users} exceeds 2 * --antennas = {2 * antennas}")
+
+
 def read_config_file(path: str) -> dict:
     """key = value lines; '#' markers stripped; anything else ignored."""
     values = {}
@@ -146,8 +155,7 @@ def build_run_spec(resolved: dict) -> ExperimentSpec:
         solver = solver_config(resolved)
     except ValueError as exc:
         raise CliError(f"invalid run parameter: {exc}") from None
-    if users > 2 * antennas:
-        raise CliError(f"--users {users} exceeds 2 * --antennas = {2 * antennas}")
+    check_dimensions(antennas, users)
     for pid in precoders:
         try:
             get_precoder(pid, solver)
@@ -275,8 +283,7 @@ def _cmd_verify_sep(args) -> int:
 def _cmd_solve_one(args) -> int:
     order = parse_modulation(args.mod)
     config = _solver_from_args(args)
-    if args.users > 2 * args.antennas:
-        raise CliError(f"--users {args.users} exceeds 2 * --antennas = {2 * args.antennas}")
+    check_dimensions(args.antennas, args.users)
     root = RngSeed(args.seed)
     params = SystemParams(
         n_antennas=args.antennas,
@@ -301,8 +308,11 @@ def _cmd_solve_one(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     order = parse_modulation(args.mod)
+    check_dimensions(args.antennas, args.users)
     if args.antennas > 6:
         raise CliError("--antennas must be <= 6 for exhaustive enumeration")
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     config = _solver_from_args(args)
     hits = 0
     exact = 0

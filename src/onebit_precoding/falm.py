@@ -49,10 +49,8 @@ class SolverConfig:
     lambda0: float = 0.01
     delta: float = 10.0
     lambda_max: float = 100.0
-    penalty_update_period: int = 1
     apg_max_iters: int = 2000
     apg_tolerance: Optional[float] = None
-    apg_step_rule: str = "fixed-lipschitz"
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -63,14 +61,10 @@ class SolverConfig:
             raise ValueError(f"delta must exceed 1, got {self.delta}")
         if self.lambda_max <= self.lambda0:
             raise ValueError("lambda_max must exceed lambda0")
-        if self.penalty_update_period < 1:
-            raise ValueError("penalty_update_period must be >= 1")
         if self.apg_max_iters < 1:
             raise ValueError("apg_max_iters must be >= 1")
         if self.apg_tolerance is not None and self.apg_tolerance <= 0:
             raise ValueError("apg_tolerance must be positive")
-        if self.apg_step_rule not in ("fixed-lipschitz", "backtracking"):
-            raise ValueError(f"unknown apg_step_rule {self.apg_step_rule!r}")
 
 
 class OuterStep(NamedTuple):
@@ -175,14 +169,12 @@ def _apg(instance, v, lam, mu, x_init, config):
     reference in tests/test_falm.py does the same arithmetic, and x and the
     count match it bit for bit.
 
-    Under the fixed step a rejected restart leaves (x, y = x, t = 1), from
-    which every later iteration recomputes the same rejected step. The loop
-    therefore runs that next iteration's tests once and returns: a
+    The step is fixed at 1/L, so a rejected restart leaves (x, y = x, t = 1),
+    from which every later iteration recomputes the same rejected step. The
+    loop therefore runs that next iteration's tests once and returns: a
     non-finite value raises SolverFailure, a step within tolerance stops
     there, and otherwise the cap is reached. ``iterations`` is in every case
     the count the plain loop would have reached, and x is its result.
-    Backtracking can raise its Lipschitz estimate after a rejected restart,
-    so it keeps iterating.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
@@ -207,11 +199,7 @@ def _apg(instance, v, lam, mu, x_init, config):
     forward = np.asfortranarray(np.vstack([forms / mu, v]))
     transposed = np.asfortranarray(np.vstack([forms, v]).T)
 
-    lips = instance.spectral_norm ** 2 / mu
-    backtrack = config.apg_step_rule == "backtracking"
-    # Backtracking starts optimistic and only ever raises its estimate.
-    lips_bt = lips / 64.0 if backtrack else lips
-    step = 1.0 / lips_bt
+    step = 1.0 / (instance.spectral_norm ** 2 / mu)
     limit = 2.0 * tol * step
     probe = 0
 
@@ -247,20 +235,13 @@ def _apg(instance, v, lam, mu, x_init, config):
     sum_x, value_x = weigh(x)
     if not isfinite(value_x):
         raise SolverFailure("non-finite objective at the APG starting point")
-    y, sum_y, value_y = x, sum_x, value_x
+    y, sum_y = x, sum_x
     t = 1.0
     iterations = 0
 
     while iterations < max_iters:
         iterations += 1
         sum_z, value_z = descend(y, sum_y)
-        while backtrack and value_z > value_y + (g @ (z.p - y.p)) / sum_y + 0.5 * lips_bt * np.sum(
-            (z.p - y.p) ** 2
-        ) + 1e-12 and lips_bt < 1e2 * lips:
-            lips_bt *= 2.0
-            step = 1.0 / lips_bt
-            limit = 2.0 * tol * step
-            sum_z, value_z = descend(y, sum_y)
         if not isfinite(value_z):
             raise SolverFailure("non-finite objective during APG iteration")
 
@@ -286,7 +267,7 @@ def _apg(instance, v, lam, mu, x_init, config):
             multiply(y.ps, (t - 1.0) / t_next, y.ps)
             add(y.ps, x.ps, y.ps)
             t = t_next
-            sum_y, value_y = weigh(y)
+            sum_y = weigh(y)[0]
             continue
 
         # Restart from x with a plain projected-gradient step.
@@ -294,7 +275,7 @@ def _apg(instance, v, lam, mu, x_init, config):
         if value_z <= value_x:
             x, z = z, x
             sum_x, value_x = sum_z, value_z
-        elif not backtrack:
+        else:
             # Rejected-restart cycle: run the next iteration's tests once.
             if iterations < max_iters:
                 iterations += 1
@@ -304,7 +285,7 @@ def _apg(instance, v, lam, mu, x_init, config):
                 if not sqrt(dot(d, d)) / step <= tol:
                     iterations = max_iters
             break
-        y, sum_y, value_y = x, sum_x, value_x
+        y, sum_y = x, sum_x
         t = 1.0
 
     return x.p.copy(), iterations
@@ -354,11 +335,9 @@ def falm_solve(
             gap = instance.power - x @ v
             objective = smoothed_objective(instance, x, config.mu) + lam * gap
             steps.append(OuterStep(lam, objective, gap, inner))
-            k = len(steps)
             if trace_file is not None:
-                trace_file.write(f"{k},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
-            if k % config.penalty_update_period == 0:
-                lam *= config.delta
+                trace_file.write(f"{len(steps)},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
+            lam *= config.delta
     finally:
         if close_trace:
             trace_file.close()

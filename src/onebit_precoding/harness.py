@@ -204,11 +204,13 @@ def run_experiment(spec: ExperimentSpec) -> list:
         get_precoder(pid, spec.solver)
 
     worker = partial(_realization_worker, spec)
-    if spec.n_workers == 1 or spec.n_realizations == 1:
-        partials = map(worker, range(spec.n_realizations))
-        merged = _merge(partials)
+    # A pool may start all its workers at the first submit, so it gets no
+    # more than there are realizations.
+    workers = min(spec.n_workers, spec.n_realizations)
+    if workers == 1:
+        merged = _merge(map(worker, range(spec.n_realizations)))
     else:
-        with ProcessPoolExecutor(max_workers=spec.n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             merged = _merge(pool.map(worker, range(spec.n_realizations)))
     bit_errors, symbol_errors, ok_instances, failures, seconds = merged
 

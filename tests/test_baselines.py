@@ -124,6 +124,17 @@ class TestZfPrecode:
         with pytest.raises(np.linalg.LinAlgError):
             zf_precode(H, np.array([0, 1]), c, 1.0)
 
+    def test_more_users_than_antennas_raises(self):
+        """With K > N, H H^H is singular but rounding can hide it from the
+        solver, so the size check is what stops the precoder."""
+        rng = np.random.default_rng(30)
+        c = MpskConstellation(4)
+        H = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        with pytest.raises(ValueError, match="K=3 > N=2"):
+            zf_precode(H, np.array([0, 1, 2]), c, 1.0)
+        with pytest.raises(ValueError, match="K=3 > N=2"):
+            zf_onebit(H, np.array([0, 1, 2]), c, 1.0)
+
 
 class TestZfOnebit:
     def test_output_on_alphabet_with_total_power(self):

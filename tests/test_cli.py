@@ -151,10 +151,9 @@ class TestRunCommand:
             "# mod = psk8", "# snr = 0,5,10,15,20,25", "# trials = 100",
             "# precoders = falm,msm,zf-ob,zf", "# seed = 1", "# workers = 1",
             "# mu = 0.01", "# lambda0 = 0.01", "# delta = 10.0",
-            "# lambda-max = 100.0", "# penalty-period = 1",
+            "# lambda-max = 100.0",
         ]
-        fields = {"mu": "mu", "lambda0": "lambda0", "delta": "delta",
-                  "lambda-max": "lambda_max", "penalty-period": "penalty_update_period"}
+        fields = {"mu": "mu", "lambda0": "lambda0", "delta": "delta", "lambda-max": "lambda_max"}
         values = dict(l[2:].split(" = ") for l in header)
         defaults = SolverConfig()
         assert {k: values[k] for k in fields} == {
@@ -164,10 +163,30 @@ class TestRunCommand:
     def test_solver_flags_reach_the_spec(self, tmp_path, monkeypatch):
         specs = []
         monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
-        args = ["run", "--mu", "0.02", "--lambda-max", "50", "--penalty-period", "2",
+        args = ["run", "--mu", "0.02", "--lambda0", "0.05", "--delta", "4", "--lambda-max", "50",
                 "--out", str(tmp_path / "o.csv")]
         assert main(args) == 0
-        assert specs[0].solver == SolverConfig(mu=0.02, lambda_max=50.0, penalty_update_period=2)
+        assert specs[0].solver == SolverConfig(mu=0.02, lambda0=0.05, delta=4.0, lambda_max=50.0)
+
+    def test_replays_header_with_penalty_period(self, tmp_path):
+        """Results CSVs written while the solver had a penalty-update period
+        carry '# penalty-period = 1' in their header; they still replay."""
+        first = tmp_path / "a.csv"
+        second = tmp_path / "b.csv"
+        args = [
+            "run",
+            "--antennas", "4", "--users", "2", "--block", "2",
+            "--mod", "psk4", "--snr", "0,10", "--trials", "2",
+            "--precoders", "falm,zf-ob", "--seed", "5", "--out", str(first),
+        ]
+        assert main(args) == 0
+        lines = first.read_text().splitlines()
+        end = lines.index("# lambda-max = 100.0") + 1
+        assert not lines[end].startswith("#")
+        old = lines[:end] + ["# penalty-period = 1"] + lines[end:]
+        first.write_text("\n".join(old) + "\n")
+        assert main(["run", "--config", str(first), "--out", str(second)]) == 0
+        assert strip_timing(second.read_text()) == strip_timing("\n".join(lines))
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -204,6 +223,28 @@ class TestOtherCommands:
 
     def test_oracle_compare_rejects_large_enumeration(self, capsys):
         assert main(["oracle-compare", "--antennas", "12", "--seeds", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("run", ["--users", "0"], "--users"),
+            ("run", ["--antennas", "0"], "--antennas"),
+            ("solve-one", ["--users", "0"], "--users"),
+            ("solve-one", ["--antennas", "-1"], "--antennas"),
+            ("solve-one", ["--antennas", "2", "--users", "5"], "--users"),
+            ("oracle-compare", ["--users", "0"], "--users"),
+            ("oracle-compare", ["--antennas", "0"], "--antennas"),
+            ("oracle-compare", ["--antennas", "1", "--users", "3"], "--users"),
+            ("oracle-compare", ["--seeds", "-3"], "--seeds"),
+            ("oracle-compare", ["--seeds", "0"], "--seeds"),
+        ],
+    )
+    def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):
+        out = ["--out", str(tmp_path / "x.csv")] if command == "run" else []
+        assert main([command, *flags, *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_verify_sep_quick(self, capsys):
         code = main(

@@ -33,8 +33,8 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     gradient times sum(e) from one transposed product. It evaluates the
     value and gradient afresh from the scores at every point and repeats a
     rejected restart until the cap. ``exits``, if given, collects how each
-    call ended: "tolerance", "cap", and also "cycle" when a fixed-step call
-    rejects a restart before its last iteration.
+    call ended: "tolerance", "cap", and also "cycle" when a call rejects a
+    restart before its last iteration.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
@@ -53,14 +53,12 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
         total = e @ np.ones(m)  # a BLAS dot, as in the loop
         return mu * (shift + math.log(total)) + lam * (instance.power - s[m]), e, total
 
-    def step_from(p, e, total, step):
-        """Projected gradient step from p and its scores; returns (z, g)."""
-        g = transposed @ np.append(e, -lam * total)
-        return np.clip(p - (step / total) * g, -a, a), g
+    step = 1.0 / (instance.spectral_norm ** 2 / mu)
 
-    lips = instance.spectral_norm ** 2 / mu
-    backtrack = config.apg_step_rule == "backtracking"
-    lips_bt = lips / 64.0 if backtrack else lips
+    def step_from(p, e, total):
+        """Projected gradient step from p and its scores."""
+        g = transposed @ np.append(e, -lam * total)
+        return np.clip(p - (step / total) * g, -a, a)
 
     x = np.clip(np.asarray(x_init, dtype=float), -a, a)
     s_x = forward @ x
@@ -75,19 +73,10 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
 
     for _ in range(config.apg_max_iters):
         iterations += 1
-        value_y, e_y, total_y = evaluate(s_y)
-        step = 1.0 / lips_bt
-        z, g = step_from(y, e_y, total_y, step)
+        _, e_y, total_y = evaluate(s_y)
+        z = step_from(y, e_y, total_y)
         s_z = forward @ z
         value_z, _, _ = evaluate(s_z)
-        while backtrack and value_z > value_y + (g @ (z - y)) / total_y + 0.5 * lips_bt * np.sum(
-            (z - y) ** 2
-        ) + 1e-12 and lips_bt < 1e2 * lips:
-            lips_bt *= 2.0
-            step = 1.0 / lips_bt
-            z, g = step_from(y, e_y, total_y, step)
-            s_z = forward @ z
-            value_z, _, _ = evaluate(s_z)
         if not np.isfinite(value_z):
             raise SolverFailure("non-finite objective during APG iteration")
 
@@ -107,12 +96,12 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
             t = t_next
         else:
             _, e_x, total_x = evaluate(s_x)
-            z, _ = step_from(x, e_x, total_x, step)
+            z = step_from(x, e_x, total_x)
             s_z = forward @ z
             value_z, _, _ = evaluate(s_z)
             if value_z <= value_x:
                 x, s_x, value_x = z, s_z, value_z
-            elif not backtrack and iterations < config.apg_max_iters:
+            elif iterations < config.apg_max_iters:
                 cycled = True
             y, s_y = x, s_x
             t = 1.0
@@ -309,13 +298,12 @@ class TestApg:
             f1 = _penalized_value(inst, x, 0.01, lam, v)
             assert f1 <= f0 + 1e-12
 
-    @pytest.mark.parametrize("step_rule", ["fixed-lipschitz", "backtracking"])
-    def test_matches_grid_search_oracle(self, step_rule):
+    def test_matches_grid_search_oracle(self):
         rng = np.random.default_rng(11)
         inst = random_instance(rng, n_users=3, n_antennas=2, order=4)
         mu, lam = 0.05, 0.5
         v = update_v(rng.uniform(-0.4, 0.4, size=4), 1.0)
-        config = SolverConfig(apg_max_iters=20000, apg_tolerance=1e-10, apg_step_rule=step_rule)
+        config = SolverConfig(apg_max_iters=20000, apg_tolerance=1e-10)
         x = falm._apg(inst, v, lam, mu, np.zeros(4), config)[0]
 
         def batch_objective(points):
@@ -334,9 +322,6 @@ class TestApg:
         )
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure):
             falm._apg(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig())
-
-
-STEP_RULES = ["fixed-lipschitz", "backtracking"]
 
 
 def solve_both(monkeypatch, instance, config, init=None, exits=None):
@@ -372,41 +357,33 @@ class FullTestCounter:
 class TestApgMatchesReference:
     """The lean APG loop is bit-identical to the plain loop, exits included."""
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    def test_small_instances(self, monkeypatch, step_rule):
+    def test_small_instances(self, monkeypatch):
         rng = np.random.default_rng(21)
         exits = []
         for k in range(24):
             inst = random_instance(
                 rng, n_users=1 + k % 4, n_antennas=1 + k % 3, order=(2, 4, 8)[k % 3]
             )
-            config = SolverConfig(apg_max_iters=(2000, 40)[k % 2], apg_step_rule=step_rule)
+            config = SolverConfig(apg_max_iters=(2000, 40)[k % 2])
             init = k if k % 5 == 0 else None
             assert_same_report(*solve_both(monkeypatch, inst, config, init, exits))
-        assert {"tolerance", "cap"} <= set(exits)
-        if step_rule == "fixed-lipschitz":
-            assert "cycle" in exits
+        assert {"tolerance", "cap", "cycle"} <= set(exits)
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    def test_desk_size_instances(self, monkeypatch, step_rule):
+    def test_desk_size_instances(self, monkeypatch):
         """N=32, K=8, 8-PSK: the criterion-8 shape."""
         rng = np.random.default_rng(22)
         exits = []
         for _ in range(2):
             inst = random_instance(rng, n_users=8, n_antennas=32, order=8)
-            config = SolverConfig(apg_step_rule=step_rule)
-            assert_same_report(*solve_both(monkeypatch, inst, config, exits=exits))
-        assert "cap" in exits
-        if step_rule == "fixed-lipschitz":
-            assert "cycle" in exits
+            assert_same_report(*solve_both(monkeypatch, inst, SolverConfig(), exits=exits))
+        assert {"cap", "cycle"} <= set(exits)
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    def test_loose_tolerance(self, monkeypatch, step_rule):
+    def test_loose_tolerance(self, monkeypatch):
         """At a loose tolerance the probe rail often leaves the decision to
         the full test, which fires partway through calls; on the other
         iterations the probe decides alone."""
         rng = np.random.default_rng(24)
-        config = SolverConfig(apg_tolerance=1e-3, apg_step_rule=step_rule)
+        config = SolverConfig(apg_tolerance=1e-3)
         full_tests = probe_only = 0
         for _ in range(6):
             inst = random_instance(rng, n_users=4, n_antennas=8, order=8)
@@ -423,8 +400,7 @@ class TestApgMatchesReference:
                 probe_only += lean.inner_iterations - counter.count
         assert full_tests > 0 and probe_only > 0
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    def test_probe_rail_on_the_bound(self, monkeypatch, step_rule):
+    def test_probe_rail_on_the_bound(self, monkeypatch):
         """The first probe rail starts at the upper bound a, where the
         penalty's pull along v = sqrt(P) e_0 pins it (y_0 = z_0), while the
         other rails move: the full test runs, does not fire, and the probe
@@ -438,7 +414,7 @@ class TestApgMatchesReference:
         x0[0] = a
         full_tests = {}
         for cap in (1, 500):
-            config = SolverConfig(apg_max_iters=cap, apg_step_rule=step_rule)
+            config = SolverConfig(apg_max_iters=cap)
             counter = FullTestCounter()
             monkeypatch.setattr(falm, "np", counter)
             x, iterations = falm._apg(inst, v, 10.0, 0.01, x0, config)
@@ -451,8 +427,7 @@ class TestApgMatchesReference:
         assert iterations > 1
         assert full_tests[1] == 1 and full_tests[500] < iterations
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    def test_single_calls(self, step_rule):
+    def test_single_calls(self):
         rng = np.random.default_rng(23)
         inst = random_instance(rng, n_users=3, n_antennas=4, order=8)
         a = inst.amplitude
@@ -460,7 +435,7 @@ class TestApgMatchesReference:
             v = update_v(rng.uniform(-a, a, size=8), 1.0)
             lam = rng.uniform(0.0, 10.0)
             x0 = rng.uniform(-2 * a, 2 * a, size=8)
-            config = SolverConfig(apg_max_iters=1 + 25 * k, apg_step_rule=step_rule)
+            config = SolverConfig(apg_max_iters=1 + 25 * k)
             x, iterations = falm._apg(inst, v, lam, 0.01, x0, config)
             x_ref, iterations_ref = reference_apg(inst, v, lam, 0.01, x0, config)
             np.testing.assert_array_equal(x, x_ref)
@@ -486,16 +461,6 @@ class TestFalmSolve:
         report = falm_solve(inst)
         np.testing.assert_allclose([s.lam for s in report.steps], [0.01, 0.1, 1.0, 10.0, 100.0])
         assert report.outer_iterations == 5
-
-    def test_penalty_update_period_two(self):
-        rng = np.random.default_rng(13)
-        inst = random_instance(rng)
-        config = SolverConfig(penalty_update_period=2, apg_max_iters=200)
-        report = falm_solve(inst, config)
-        np.testing.assert_allclose(
-            [s.lam for s in report.steps],
-            [0.01, 0.01, 0.1, 0.1, 1.0, 1.0, 10.0, 10.0, 100.0, 100.0],
-        )
 
     def test_output_is_exactly_one_bit(self):
         rng = np.random.default_rng(14)
@@ -595,10 +560,8 @@ class TestSolverConfig:
             {"lambda0": -1.0},
             {"delta": 1.0},
             {"lambda_max": 0.001},
-            {"penalty_update_period": 0},
             {"apg_max_iters": 0},
             {"apg_tolerance": 0.0},
-            {"apg_step_rule": "newton"},
         ],
     )
     def test_rejects_bad_values(self, kw):

@@ -209,6 +209,48 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"realization 1 failed: ValueError\('bad draw'\)"):
             run_experiment(spec)
 
+    def test_zero_forcing_fails_when_users_exceed_antennas(self):
+        """At K=3 > N=2 every zf and zf-ob instance is a failure; msm, which
+        needs only K <= 2N, runs as usual."""
+        spec = make_spec(
+            n_antennas=2, n_users=3, block_length=2, n_realizations=2,
+            precoder_ids=("zf", "zf-ob", "msm"),
+        )
+        records = run_experiment(spec)
+        instances = spec.n_realizations * spec.block_length
+        for r in records:
+            if r.precoder == "msm":
+                assert (r.failures, r.symbol_count) == (0, instances * spec.n_users)
+            else:
+                assert (r.failures, r.bit_count, r.symbol_count) == (instances, 0, 0)
+                assert np.isnan(r.ber) and np.isnan(r.ser)
+
+    @pytest.mark.parametrize(
+        "n_workers, n_realizations, pool_size",
+        [(64, 2, 2), (2, 5, 2), (3, 3, 3), (8, 1, None), (1, 4, None)],
+    )
+    def test_pool_sized_by_the_work(self, monkeypatch, n_workers, n_realizations, pool_size):
+        """The pool gets min(workers, realizations) processes; with one, the
+        sweep runs in-process. A fake pool records the size and maps serially."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        run_experiment(make_spec(n_workers=n_workers, n_realizations=n_realizations))
+        assert sizes == ([] if pool_size is None else [pool_size])
+
     def test_appending_trials_keeps_earlier_counts(self):
         three = make_spec(
             precoder_ids=("zf-ob", "msm", "falm"),
