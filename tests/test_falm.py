@@ -562,6 +562,7 @@ class TestSolverConfig:
             {"lambda_max": 0.001},
             {"apg_max_iters": 0},
             {"apg_tolerance": 0.0},
+            {"apg_tolerance": -1e-3},
         ],
     )
     def test_rejects_bad_values(self, kw):
