@@ -11,7 +11,6 @@ from .baselines import (
     available_precoders,
     get_precoder,
     msm_precode,
-    register_precoder,
     zf_onebit,
     zf_precode,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "perturb",
     "q_function",
     "quantize_one_bit",
-    "register_precoder",
     "run_experiment",
     "safety_margin",
     "sep_union_bound",

@@ -51,7 +51,7 @@ def msm_lp_problem(instance: PrecodingInstance) -> dict:
     |x_j| <= sqrt(P/2N)."""
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
-    forms = instance.stacked
+    forms = instance.forms
     objective = np.zeros(n2 + 1)
     objective[-1] = -1.0
     upper = np.full(n2 + 1, a)
@@ -128,14 +128,6 @@ _REGISTRY = {
 
 def available_precoders() -> tuple:
     return tuple(sorted(_REGISTRY))
-
-
-def register_precoder(precoder_id: str, factory: Callable[[Optional[SolverConfig]], Precoder]):
-    """Install a custom precoder under a new id. ``factory`` receives the
-    solver config (possibly None) and returns the precoding callable."""
-    if precoder_id in _REGISTRY:
-        raise ValueError(f"precoder id {precoder_id!r} is already taken")
-    _REGISTRY[precoder_id] = factory
 
 
 def get_precoder(precoder_id: str, solver_config: Optional[SolverConfig] = None) -> Precoder:

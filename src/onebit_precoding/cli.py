@@ -27,7 +27,7 @@ from .baselines import available_precoders, get_precoder
 from .channel import RngSeed, SystemParams, draw_channel, draw_symbols
 from .falm import SolverConfig, falm_solve
 from .harness import ExperimentSpec, run_experiment, write_csv
-from .precoding import build_instance, optimal_onebit_margin
+from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
 from .sep_analysis import run_verification
 
 WORKERS_ENV = "ONEBIT_PRECODING_WORKERS"
@@ -295,7 +295,11 @@ def _cmd_solve_one(args) -> int:
     H = draw_channel(params, root.child(0))
     symbols = draw_symbols(order, args.users, root.child(1))
     instance = build_instance(H, symbols, order, args.power)
-    report = falm_solve(instance, config, trace_file=args.trace)
+    if args.trace is None:
+        report = falm_solve(instance, config)
+    else:
+        with open(args.trace, "w", encoding="utf-8") as trace:
+            report = falm_solve(instance, config, trace_file=trace)
     print(f"instance: N={args.antennas} K={args.users} M={order} P={args.power:g} seed={args.seed}")
     print(f"margin:            {report.margin:.6f}")
     print(f"outer iterations:  {report.outer_iterations}")
@@ -309,8 +313,12 @@ def _cmd_solve_one(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     order = parse_modulation(args.mod)
     check_dimensions(args.antennas, args.users)
-    if args.antennas > 6:
-        raise CliError("--antennas must be <= 6 for exhaustive enumeration")
+    if args.antennas > MAX_ENUMERATED_ANTENNAS:
+        raise CliError(
+            f"--antennas must be <= {MAX_ENUMERATED_ANTENNAS} for exhaustive enumeration"
+        )
+    if not 0 < args.power < math.inf:
+        raise CliError(f"--power must be positive and finite, got {args.power}")
     if args.seeds < 1:
         raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     config = _solver_from_args(args)

@@ -69,9 +69,8 @@ class SolverConfig:
 
 class OuterStep(NamedTuple):
     """One outer iteration: the penalty weight in force, the penalized
-    surrogate and the penalty gap after its v-update, and its APG call's
-    iteration count (including the iterations of a rejected-restart cycle
-    that the loop skips, see ``_apg``)."""
+    surrogate and the penalty gap after its v-update, and the number of
+    iterations its APG call ran."""
 
     lam: float
     objective: float
@@ -100,7 +99,7 @@ class SolveReport:
 
 def _scores(instance: PrecodingInstance, x_real: np.ndarray, mu: float):
     """Shifted exponents of the surrogate; shared by value and gradient."""
-    z = (instance.stacked @ x_real) / mu
+    z = (instance.forms @ x_real) / mu
     zmax = z.max()
     e = np.exp(z - zmax)
     return zmax, e
@@ -121,7 +120,7 @@ def smoothed_gradient(instance: PrecodingInstance, x_real: np.ndarray, mu: float
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     _, e = _scores(instance, np.asarray(x_real, dtype=float), mu)
-    return instance.stacked.T @ (e / e.sum())
+    return instance.forms.T @ (e / e.sum())
 
 
 def update_v(x_real: np.ndarray, power: float) -> np.ndarray:
@@ -154,7 +153,8 @@ def _apg(instance, v, lam, mu, x_init, config):
     Nesterov momentum is restarted whenever the accelerated step fails to
     decrease the objective, in which case a plain projected-gradient step is
     taken instead (guaranteed descent at step <= 1/L). Returns
-    (x, iterations); the returned objective never exceeds the initial one.
+    (x, iterations), the iterations counting those the call ran; the
+    returned objective never exceeds the initial one.
 
     Every point p is kept with its scores s = [forms @ p / mu; p . v], one
     forward product against [forms / mu; v], and with e = exp(s[:2K] - max):
@@ -169,12 +169,11 @@ def _apg(instance, v, lam, mu, x_init, config):
     reference in tests/test_falm.py does the same arithmetic, and x and the
     count match it bit for bit.
 
-    The step is fixed at 1/L, so a rejected restart leaves (x, y = x, t = 1),
-    from which every later iteration recomputes the same rejected step. The
-    loop therefore runs that next iteration's tests once and returns: a
-    non-finite value raises SolverFailure, a step within tolerance stops
-    there, and otherwise the cap is reached. ``iterations`` is in every case
-    the count the plain loop would have reached, and x is its result.
+    A call ends at the tolerance, at the cap, or when it stalls: the plain
+    step of a restart is rejected too. The step is fixed at 1/L, so a stall
+    leaves (x, y = x, t = 1), from which every later iteration would
+    recompute the same rejected step; x is final. A non-finite value at any
+    point raises SolverFailure.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
@@ -182,7 +181,7 @@ def _apg(instance, v, lam, mu, x_init, config):
     if tol is None:
         tol = 1e-6 * np.sqrt(n2) * a
     max_iters = config.apg_max_iters
-    forms = instance.stacked
+    forms = instance.forms
     m = forms.shape[0]
     power = instance.power
     # Local names and a positional ``out`` cut numpy's per-call dispatch;
@@ -216,8 +215,9 @@ def _apg(instance, v, lam, mu, x_init, config):
 
     def descend(src, total):
         """Gradient at src from its weights, then the projected gradient
-        step along it into z, scored; returns weigh(z). The box projection
-        is np.clip's result at about a third of its call overhead."""
+        step along it into z, scored; returns weigh(z), or raises
+        SolverFailure if its value is not finite. The box projection is
+        np.clip's result at about a third of its call overhead."""
         w, zp = src.w, z.p
         w[m] = -lam * total
         dot(transposed, w, g)
@@ -226,7 +226,10 @@ def _apg(instance, v, lam, mu, x_init, config):
         maximum(zp, lower, out=zp)
         minimum(zp, upper, out=zp)
         dot(forward, zp, z.s)
-        return weigh(z)
+        total_z, value_z = weigh(z)
+        if not isfinite(value_z):
+            raise SolverFailure("non-finite objective during APG iteration")
+        return total_z, value_z
 
     x, prev, z, y_slot = (_Point(n2, m) for _ in range(4))
     g, d = np.empty(n2), np.empty(n2)
@@ -242,8 +245,6 @@ def _apg(instance, v, lam, mu, x_init, config):
     while iterations < max_iters:
         iterations += 1
         sum_z, value_z = descend(y, sum_y)
-        if not isfinite(value_z):
-            raise SolverFailure("non-finite objective during APG iteration")
 
         # |y - z| / step <= tol needs |y_j - z_j| <= tol * step on every rail,
         # so a probe rail beyond limit = 2 tol step (the 2 covers the norm's
@@ -270,21 +271,13 @@ def _apg(instance, v, lam, mu, x_init, config):
             sum_y = weigh(y)[0]
             continue
 
-        # Restart from x with a plain projected-gradient step.
+        # Restart from x with a plain projected-gradient step; stall if it
+        # is rejected too.
         sum_z, value_z = descend(x, sum_x)
-        if value_z <= value_x:
-            x, z = z, x
-            sum_x, value_x = sum_z, value_z
-        else:
-            # Rejected-restart cycle: run the next iteration's tests once.
-            if iterations < max_iters:
-                iterations += 1
-                if not isfinite(value_z):
-                    raise SolverFailure("non-finite objective during APG iteration")
-                subtract(x.p, z.p, d)
-                if not sqrt(dot(d, d)) / step <= tol:
-                    iterations = max_iters
+        if not value_z <= value_x:
             break
+        x, z = z, x
+        sum_x, value_x = sum_z, value_z
         y, sum_y = x, sum_x
         t = 1.0
 
@@ -299,48 +292,36 @@ def falm_solve(
 ) -> SolveReport:
     """Run the full penalty continuation and return the quantized solution.
 
-    ``init`` may be None (x0 = v0 = 0, the standard start), an explicit real
-    2N vector, or an integer seed for a uniform random point in the box. Each
-    APG call warm-starts from the previous outer iterate. ``trace_file``
-    optionally receives each outer step of the report as a CSV row for
-    debugging; its ``inner_iters`` column is the step's APG count.
+    ``init`` is None (x0 = v0 = 0, the standard start) or a real 2N vector.
+    Each APG call warm-starts from the previous outer iterate. ``trace_file``
+    is None or an open text file, which receives each outer step of the
+    report as a CSV row for debugging; its ``inner_iters`` column is the
+    step's APG count.
     """
     if config is None:
         config = SolverConfig()
     n2 = 2 * instance.n_antennas
     if init is None:
         x = np.zeros(n2)
-    elif np.isscalar(init):
-        rng = np.random.default_rng(int(init))
-        x = rng.uniform(-instance.amplitude, instance.amplitude, size=n2)
     else:
-        x = np.asarray(init, dtype=float).copy()
+        x = np.array(init, dtype=float)
         if x.shape != (n2,):
             raise ValueError(f"init shape {x.shape} does not match ({n2},)")
     v = np.zeros(n2)
 
     steps = []
-    close_trace = False
-    if isinstance(trace_file, str):
-        trace_file = open(trace_file, "w", encoding="utf-8")
-        close_trace = True
     if trace_file is not None:
         trace_file.write("outer_iter,lambda,objective,penalty_gap,inner_iters\n")
-
-    try:
-        lam = config.lambda0
-        while lam <= config.lambda_max:
-            x, inner = _apg(instance, v, lam, config.mu, x, config)
-            v = update_v(x, instance.power)
-            gap = instance.power - x @ v
-            objective = smoothed_objective(instance, x, config.mu) + lam * gap
-            steps.append(OuterStep(lam, objective, gap, inner))
-            if trace_file is not None:
-                trace_file.write(f"{len(steps)},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
-            lam *= config.delta
-    finally:
-        if close_trace:
-            trace_file.close()
+    lam = config.lambda0
+    while lam <= config.lambda_max:
+        x, inner = _apg(instance, v, lam, config.mu, x, config)
+        v = update_v(x, instance.power)
+        gap = instance.power - x @ v
+        objective = smoothed_objective(instance, x, config.mu) + lam * gap
+        steps.append(OuterStep(lam, objective, gap, inner))
+        if trace_file is not None:
+            trace_file.write(f"{len(steps)},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
+        lam *= config.delta
 
     x_q = quantize_one_bit(x, instance.power)
     return SolveReport(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps)

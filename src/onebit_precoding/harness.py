@@ -133,7 +133,9 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     """Integer error counts for one realization.
 
     Returns (bit_errors, symbol_errors, ok_instances, failures, seconds)
-    with the first two shaped (precoders, snrs, users).
+    with the first two shaped (precoders, snrs, users). Precoder exceptions
+    are logged once per precoder and exception type, with the first
+    traceback and the number of symbol times that raised it.
     """
     constellation = MpskConstellation(spec.order)
     precoders = [get_precoder(pid, spec.solver) for pid in spec.precoder_ids]
@@ -146,6 +148,7 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     ok_instances = np.zeros(n_p, dtype=np.int64)
     failures = np.zeros(n_p, dtype=np.int64)
     seconds = np.zeros(n_p)
+    raised = {}  # (precoder, exception type) -> [first exception, its t, count]
 
     for t in range(spec.block_length):
         H, symbols, unit_noise = paired_streams(
@@ -155,16 +158,10 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
             start = time.perf_counter()
             try:
                 x = precoder(H, symbols, constellation, spec.total_power)
-            except Exception:
+            except Exception as exc:
                 seconds[p] += time.perf_counter() - start
                 failures[p] += 1
-                logger.warning(
-                    "precoder %s failed on realization %d, t %d; instance excluded",
-                    spec.precoder_ids[p],
-                    realization,
-                    t,
-                    exc_info=True,
-                )
+                raised.setdefault((p, type(exc)), [exc, t, 0])[2] += 1
                 continue
             seconds[p] += time.perf_counter() - start
             noiseless = H @ x
@@ -183,6 +180,18 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
             detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
             symbol_errors[p] += detected != symbols
             bit_errors[p] += constellation.bit_distances[symbols, detected]
+    for (p, kind), (exc, t, count) in raised.items():
+        logger.warning(
+            "precoder %s raised %s on %d of %d symbol times of realization %d "
+            "(first at t %d); instances excluded",
+            spec.precoder_ids[p],
+            kind.__name__,
+            count,
+            spec.block_length,
+            realization,
+            t,
+            exc_info=exc,
+        )
     return bit_errors, symbol_errors, ok_instances, failures, seconds
 
 

@@ -23,6 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
+# Largest N that optimal_onebit_margin enumerates; memory grows as 4^N.
+MAX_ENUMERATED_ANTENNAS = 8
+
 
 def one_bit_amplitude(power: float, n_antennas: int) -> float:
     """Per-rail amplitude sqrt(P/2N) of the one-bit transmit alphabet."""
@@ -91,48 +94,37 @@ class OneBitVector:
 class PrecodingInstance:
     """Real-valued problem data for one symbol time.
 
-    ``u`` and ``w`` are K x 2N arrays whose rows are the linear forms with
-    min_i alpha_i = -max_i max(u_i . x_real, w_i . x_real). Immutable, so one
-    instance may be shared read-only across concurrent solves.
+    ``forms`` is the 2K x 2N matrix [u; w] of margin forms, u_i in row i and
+    w_i in row K + i, with min_i alpha_i = -max over its rows of
+    forms_r . x_real. Read-only, so one instance may be shared across
+    concurrent solves.
     """
 
-    u: np.ndarray
-    w: np.ndarray
-    order: int
+    forms: np.ndarray
     power: float
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=float)  # own copies, frozen below
-        w = np.array(self.w, dtype=float)
-        if u.shape != w.shape or u.ndim != 2 or u.shape[1] % 2 != 0:
-            raise ValueError(f"u/w must be matching K x 2N arrays, got {u.shape}, {w.shape}")
-        u.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
+        forms = np.array(self.forms, dtype=float)  # own copy, frozen below
+        if forms.ndim != 2 or forms.shape[0] % 2 != 0 or forms.shape[1] % 2 != 0:
+            raise ValueError(f"forms must be a 2K x 2N array, got shape {forms.shape}")
+        forms.flags.writeable = False
+        object.__setattr__(self, "forms", forms)
 
     @property
     def n_users(self) -> int:
-        return self.u.shape[0]
+        return self.forms.shape[0] // 2
 
     @property
     def n_antennas(self) -> int:
-        return self.u.shape[1] // 2
+        return self.forms.shape[1] // 2
 
     @property
     def amplitude(self) -> float:
         return one_bit_amplitude(self.power, self.n_antennas)
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """All 2K margin forms as one matrix (u rows, then w rows)."""
-        a = np.vstack([self.u, self.w])
-        a.flags.writeable = False
-        return a
-
-    @cached_property
     def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.stacked, 2))
+        return float(np.linalg.norm(self.forms, 2))
 
 
 def build_instance(H: np.ndarray, symbols, order: int, power: float) -> PrecodingInstance:
@@ -151,7 +143,7 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
     g = np.conj(s)[:, None] * H  # row i is s_i* h_i^T
     b = np.concatenate([g.real, -g.imag], axis=1)
     r = cot_half_sector(order) * np.concatenate([g.imag, g.real], axis=1)
-    return PrecodingInstance(u=-b + r, w=-b - r, order=order, power=power)
+    return PrecodingInstance(np.vstack([-b + r, -b - r]), power)
 
 
 def safety_margin(h: np.ndarray, x: np.ndarray, symbol: complex, order: int) -> float:
@@ -161,17 +153,19 @@ def safety_margin(h: np.ndarray, x: np.ndarray, symbol: complex, order: int) -> 
 
 
 def min_margin(instance: PrecodingInstance, x_real: np.ndarray) -> float:
-    """Worst-user safety margin, -max over all 2K stacked forms."""
-    return float(-np.max(instance.stacked @ np.asarray(x_real, dtype=float)))
+    """Worst-user safety margin, -max over all 2K margin forms."""
+    return float(-np.max(instance.forms @ np.asarray(x_real, dtype=float)))
 
 
 def optimal_onebit_margin(instance: PrecodingInstance) -> float:
     """Exhaustive optimum: the best worst-user margin over all 2^(2N) one-bit
     transmit vectors, scored in one matrix product. Meant for tiny
-    instances (N <= 8); memory grows as 4^N."""
+    instances, N <= MAX_ENUMERATED_ANTENNAS."""
     n2 = 2 * instance.n_antennas
-    if instance.n_antennas > 8:
-        raise ValueError(f"exhaustive search needs N <= 8, got {instance.n_antennas}")
+    if instance.n_antennas > MAX_ENUMERATED_ANTENNAS:
+        raise ValueError(
+            f"exhaustive search needs N <= {MAX_ENUMERATED_ANTENNAS}, got {instance.n_antennas}"
+        )
     bits = (np.arange(1 << n2)[:, None] >> np.arange(n2)) & 1
     candidates = instance.amplitude * (2.0 * bits - 1.0)
-    return float(-np.min(np.max(candidates @ instance.stacked.T, axis=1)))
+    return float(-np.min(np.max(candidates @ instance.forms.T, axis=1)))

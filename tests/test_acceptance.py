@@ -107,7 +107,7 @@ def test_criterion_03_smoothing_sandwich():
         inst = random_instance(rng)
         n2 = 2 * inst.n_antennas
         x = rng.uniform(-1.5, 1.5) * rng.uniform(-inst.amplitude, inst.amplitude, n2)
-        g = float(np.max(inst.stacked @ x))
+        g = float(np.max(inst.forms @ x))
         scale = max(1.0, abs(g))
         for mu in (1.0, 0.01, 1e-4):
             f = smoothed_objective(inst, x, mu)

@@ -17,7 +17,6 @@ from onebit_precoding import (
     msm_precode,
     one_bit_amplitude,
     quantize_one_bit,
-    register_precoder,
     to_real,
     zf_onebit,
     zf_precode,
@@ -60,7 +59,7 @@ def presolved_linprog(instance):
     ``milp`` solve inside ``msm_precode``."""
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
-    forms = instance.stacked
+    forms = instance.forms
     objective = np.zeros(n2 + 1)
     objective[-1] = -1.0
     bounds = np.empty((n2 + 1, 2))
@@ -292,7 +291,7 @@ class TestRegistry:
             x = get_precoder(pid)(H, symbols, c, 1.0)
             np.testing.assert_allclose(np.abs(to_real(x)), a, atol=0)
 
-    def test_register_custom_precoder(self):
+    def test_register_custom_precoder(self, monkeypatch):
         def factory(config):
             def precode(H, symbols, constellation, power):
                 n = H.shape[1]
@@ -301,15 +300,9 @@ class TestRegistry:
 
             return precode
 
-        register_precoder("all-plus", factory)
-        try:
-            x = get_precoder("all-plus")(np.eye(2, dtype=complex), np.array([0, 0]), MpskConstellation(4), 1.0)
-            assert np.all(x == x[0])
-            with pytest.raises(ValueError):
-                register_precoder("all-plus", factory)
-            with pytest.raises(KeyError):
-                get_precoder("squid")
-        finally:
-            from onebit_precoding.baselines import _REGISTRY
-
-            _REGISTRY.pop("all-plus", None)
+        monkeypatch.setitem(baselines._REGISTRY, "all-plus", factory)
+        assert "all-plus" in available_precoders()
+        x = get_precoder("all-plus")(np.eye(2, dtype=complex), np.array([0, 0]), MpskConstellation(4), 1.0)
+        assert np.all(x == x[0])
+        with pytest.raises(KeyError):
+            get_precoder("squid")

@@ -224,6 +224,11 @@ class TestOtherCommands:
     def test_oracle_compare_rejects_large_enumeration(self, capsys):
         assert main(["oracle-compare", "--antennas", "12", "--seeds", "1"]) == 2
 
+    def test_oracle_compare_enumerates_up_to_the_oracle_limit(self, capsys):
+        """The limit is optimal_onebit_margin's, N <= 8."""
+        assert main(["oracle-compare", "--antennas", "8", "--users", "1", "--seeds", "1"]) == 0
+        assert "/1 seeds" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "command, flags, named",
         [
@@ -237,6 +242,11 @@ class TestOtherCommands:
             ("oracle-compare", ["--antennas", "1", "--users", "3"], "--users"),
             ("oracle-compare", ["--seeds", "-3"], "--seeds"),
             ("oracle-compare", ["--seeds", "0"], "--seeds"),
+            ("oracle-compare", ["--antennas", "9"], "--antennas"),
+            ("oracle-compare", ["--power", "0"], "--power"),
+            ("oracle-compare", ["--power", "-1"], "--power"),
+            ("oracle-compare", ["--power", "nan"], "--power"),
+            ("oracle-compare", ["--power", "inf"], "--power"),
         ],
     )
     def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):

@@ -31,10 +31,9 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     It shares the lean loop's arithmetic: scores [forms @ p / mu; p . v]
     from one product, the momentum point's scores by linearity, and the
     gradient times sum(e) from one transposed product. It evaluates the
-    value and gradient afresh from the scores at every point and repeats a
-    rejected restart until the cap. ``exits``, if given, collects how each
-    call ended: "tolerance", "cap", and also "cycle" when a call rejects a
-    restart before its last iteration.
+    value and gradient afresh from the scores at every point. ``exits``, if
+    given, collects how each call ended: "tolerance", "cap", or "stall" when
+    the plain step of a restart is rejected too.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
@@ -43,8 +42,8 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     if tol is None:
         tol = 1e-6 * np.sqrt(n2) * a
     # The products' rounding depends on the layout: column-major, as in the loop.
-    forward = np.asfortranarray(np.vstack([instance.stacked / mu, v]))
-    transposed = np.asfortranarray(np.vstack([instance.stacked, v]).T)
+    forward = np.asfortranarray(np.vstack([instance.forms / mu, v]))
+    transposed = np.asfortranarray(np.vstack([instance.forms, v]).T)
 
     def evaluate(s):
         """(value, e, sum(e)) at the point with scores s."""
@@ -69,7 +68,6 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     t = 1.0
     iterations = 0
     outcome = "cap"
-    cycled = False
 
     for _ in range(config.apg_max_iters):
         iterations += 1
@@ -99,17 +97,17 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
             z = step_from(x, e_x, total_x)
             s_z = forward @ z
             value_z, _, _ = evaluate(s_z)
-            if value_z <= value_x:
-                x, s_x, value_x = z, s_z, value_z
-            elif iterations < config.apg_max_iters:
-                cycled = True
+            if not np.isfinite(value_z):
+                raise SolverFailure("non-finite objective during APG iteration")
+            if not value_z <= value_x:
+                outcome = "stall"
+                break
+            x, s_x, value_x = z, s_z, value_z
             y, s_y = x, s_x
             t = 1.0
 
     if exits is not None:
         exits.append(outcome)
-        if cycled:
-            exits.append("cycle")
     return x, iterations
 
 
@@ -123,7 +121,7 @@ def random_instance(rng, n_users=4, n_antennas=3, order=8, power=1.0):
 
 
 def true_max(instance, x_real):
-    return float(np.max(instance.stacked @ x_real))
+    return float(np.max(instance.forms @ x_real))
 
 
 def grid_search_box_min(objective, n_dims, half_width, points_per_dim=11, refinements=8):
@@ -154,7 +152,7 @@ class TestSmoothedObjective:
         # u . x = w . x = c gives exactly c + mu*log(2)
         inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), 2, 1.0)
         x = np.array([-0.3, 0.7])
-        c = float(inst.u[0] @ x)
+        c = float(inst.forms[0] @ x)  # u_0
         mu = 0.05
         assert smoothed_objective(inst, x, mu) == pytest.approx(
             c + mu * np.log(2.0), abs=1e-12
@@ -173,7 +171,7 @@ class TestSmoothedObjective:
         inst = random_instance(rng, n_users=24, n_antennas=8)
         x = 0.05 * rng.standard_normal(16)
         mu = 0.01
-        z = inst.stacked @ x / mu
+        z = inst.forms @ x / mu
         naive = mu * np.log(np.sum(np.exp(z)))
         assert smoothed_objective(inst, x, mu) == pytest.approx(naive, abs=1e-10)
 
@@ -206,13 +204,14 @@ class TestSmoothedGradient:
     def test_bpsk_single_user_gradient_is_form(self):
         inst = build_instance(np.array([[0.4 - 0.9j]]), np.array([1]), 2, 1.0)
         x = np.array([0.2, -0.1])
-        np.testing.assert_allclose(smoothed_gradient(inst, x, 0.01), inst.u[0], atol=1e-12)
+        u0 = inst.forms[0]
+        np.testing.assert_allclose(smoothed_gradient(inst, x, 0.01), u0, atol=1e-12)
 
     def test_uniform_weights_at_origin(self):
         rng = np.random.default_rng(5)
         inst = random_instance(rng)
         grad = smoothed_gradient(inst, np.zeros(6), 0.01)
-        np.testing.assert_allclose(grad, inst.stacked.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(grad, inst.forms.mean(axis=0), atol=1e-12)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(6)
@@ -307,7 +306,7 @@ class TestApg:
         x = falm._apg(inst, v, lam, mu, np.zeros(4), config)[0]
 
         def batch_objective(points):
-            z = points @ inst.stacked.T / mu
+            z = points @ inst.forms.T / mu
             zmax = z.max(axis=1, keepdims=True)
             f = mu * (zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1)))
             return f + lam * (inst.power - points @ v)
@@ -317,9 +316,8 @@ class TestApg:
         assert achieved == pytest.approx(oracle_val, abs=1e-3)
 
     def test_failure_on_non_finite_objective(self):
-        inst = PrecodingInstance(
-            u=np.array([[np.inf, 0.0]]), w=np.array([[0.0, 0.0]]), order=2, power=1.0
-        )
+        # u_0 = [inf, 0] (forms[:1]), w_0 = [0, 0] (forms[1:])
+        inst = PrecodingInstance(np.array([[np.inf, 0.0], [0.0, 0.0]]), power=1.0)
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure):
             falm._apg(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig())
 
@@ -354,6 +352,18 @@ class FullTestCounter:
         return np.dot(a, b, *out)
 
 
+class ProbeCounter:
+    """Stands in for the builtin abs inside ``falm`` and counts the APG
+    loop's probe-rail reads: its only call of abs, one per iteration."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self, value):
+        self.count += 1
+        return abs(value)
+
+
 class TestApgMatchesReference:
     """The lean APG loop is bit-identical to the plain loop, exits included."""
 
@@ -365,9 +375,12 @@ class TestApgMatchesReference:
                 rng, n_users=1 + k % 4, n_antennas=1 + k % 3, order=(2, 4, 8)[k % 3]
             )
             config = SolverConfig(apg_max_iters=(2000, 40)[k % 2])
-            init = k if k % 5 == 0 else None
+            init = None
+            if k % 5 == 0:
+                a = inst.amplitude
+                init = np.random.default_rng(k).uniform(-a, a, size=2 * inst.n_antennas)
             assert_same_report(*solve_both(monkeypatch, inst, config, init, exits))
-        assert {"tolerance", "cap", "cycle"} <= set(exits)
+        assert {"tolerance", "cap", "stall"} <= set(exits)
 
     def test_desk_size_instances(self, monkeypatch):
         """N=32, K=8, 8-PSK: the criterion-8 shape."""
@@ -376,7 +389,33 @@ class TestApgMatchesReference:
         for _ in range(2):
             inst = random_instance(rng, n_users=8, n_antennas=32, order=8)
             assert_same_report(*solve_both(monkeypatch, inst, SolverConfig(), exits=exits))
-        assert {"cap", "cycle"} <= set(exits)
+        assert {"cap", "stall"} <= set(exits)
+
+    def test_counts_are_the_iterations_run(self, monkeypatch):
+        """Each outer step reports the iterations its APG call ran, stall
+        exits included. An iteration makes one forward product from its
+        momentum point, one more from x when it restarts, and one probe-rail
+        read, which is what is counted here."""
+        rng = np.random.default_rng(22)
+        probe_reads = ProbeCounter()
+        real_apg = falm._apg
+        ran, exits = [], []
+
+        def counted_apg(*args):
+            start = probe_reads.count
+            result = real_apg(*args)
+            ran.append(probe_reads.count - start)
+            reference_apg(*args, exits=exits)
+            return result
+
+        monkeypatch.setattr(falm, "abs", probe_reads, raising=False)
+        monkeypatch.setattr(falm, "_apg", counted_apg)
+        reported = []
+        for _ in range(2):
+            inst = random_instance(rng, n_users=8, n_antennas=32, order=8)
+            reported += [s.apg_iterations for s in falm_solve(inst).steps]
+        assert reported == ran
+        assert "stall" in exits
 
     def test_loose_tolerance(self, monkeypatch):
         """At a loose tolerance the probe rail often leaves the decision to
@@ -393,11 +432,9 @@ class TestApgMatchesReference:
             lean, reference = solve_both(monkeypatch, inst, config, exits=exits)
             assert_same_report(lean, reference)
             assert exits.count("tolerance") >= 3
-            # Without a skipped rejected-restart cycle every iteration ran
-            # the probe once, and the full test at most once.
-            if "cycle" not in exits:
-                full_tests += counter.count
-                probe_only += lean.inner_iterations - counter.count
+            # Every iteration runs the probe once, and the full test at most once.
+            full_tests += counter.count
+            probe_only += lean.inner_iterations - counter.count
         assert full_tests > 0 and probe_only > 0
 
     def test_probe_rail_on_the_bound(self, monkeypatch):
@@ -515,16 +552,18 @@ class TestFalmSolve:
         a = inst.amplitude
         report = falm_solve(inst, init=np.zeros(6))
         assert report.margin == falm_solve(inst).margin
-        seeded = falm_solve(inst, init=7)
+        seeded = falm_solve(inst, init=np.random.default_rng(7).uniform(-a, a, size=6))
         assert np.all(np.abs(seeded.x_onebit.x_real) == a)
-        with pytest.raises(ValueError):
-            falm_solve(inst, init=np.zeros(5))
+        for bad in (np.zeros(5), 7):  # wrong length; a seed is not a vector
+            with pytest.raises(ValueError):
+                falm_solve(inst, init=bad)
 
     def test_trace_file(self, tmp_path):
         rng = np.random.default_rng(19)
         inst = random_instance(rng)
         path = tmp_path / "trace.csv"
-        report = falm_solve(inst, trace_file=str(path))
+        with path.open("w", encoding="utf-8") as trace:
+            report = falm_solve(inst, trace_file=trace)
         lines = path.read_text().splitlines()
         assert lines[0] == "outer_iter,lambda,objective,penalty_gap,inner_iters"
         assert lines[1:] == [

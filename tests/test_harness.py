@@ -12,11 +12,10 @@ from onebit_precoding import (
     ExperimentSpec,
     SolverConfig,
     paired_streams,
-    register_precoder,
     run_experiment,
     write_csv,
 )
-from onebit_precoding import harness
+from onebit_precoding import baselines, harness
 from onebit_precoding.harness import CSV_COLUMNS
 
 
@@ -285,7 +284,7 @@ class TestRunExperiment:
         expected = [tuple(map(sum, zip(a, b))) for a, b in zip(totals(run_experiment(three)), added)]
         assert totals(run_experiment(five)) == expected
 
-    def test_failures_counted_and_excluded(self):
+    def test_failures_counted_and_excluded(self, monkeypatch):
         calls = {"n": 0}
 
         def flaky_factory(config):
@@ -299,18 +298,52 @@ class TestRunExperiment:
 
             return precode
 
-        register_precoder("flaky", flaky_factory)
-        try:
-            spec = make_spec(precoder_ids=("flaky",), n_realizations=2)
-            records = run_experiment(spec)
-            total_instances = spec.block_length * 2
-            assert records[0].failures == total_instances // 3
-            expected_symbols = (total_instances - total_instances // 3) * spec.n_users
-            assert records[0].symbol_count == expected_symbols
-        finally:
-            from onebit_precoding.baselines import _REGISTRY
+        monkeypatch.setitem(baselines._REGISTRY, "flaky", flaky_factory)
+        spec = make_spec(precoder_ids=("flaky",), n_realizations=2)
+        records = run_experiment(spec)
+        total_instances = spec.block_length * 2
+        assert records[0].failures == total_instances // 3
+        expected_symbols = (total_instances - total_instances // 3) * spec.n_users
+        assert records[0].symbol_count == expected_symbols
 
-            _REGISTRY.pop("flaky", None)
+
+    def test_one_traceback_per_precoder_and_exception_type(self, monkeypatch, caplog):
+        """T=4 with K > N: zf raises on every symbol time, and a precoder
+        that raises ValueError at t = 0-2 and RuntimeError at t = 3 fails on
+        every one too. Each realization logs one traceback per precoder and
+        exception type, with its count; every failure is counted."""
+
+        def two_kinds(config):
+            times = iter(range(4))
+
+            def precode(H, symbols, constellation, power):
+                kind = ValueError if next(times) < 3 else RuntimeError
+                raise kind("synthetic failure")
+
+            return precode
+
+        monkeypatch.setitem(baselines._REGISTRY, "two-kinds", two_kinds)
+        spec = make_spec(
+            n_antennas=2, n_users=3, block_length=4, precoder_ids=("zf", "two-kinds"),
+            n_realizations=2,
+        )
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            records = run_experiment(spec)
+        assert {r.precoder: r.failures for r in records} == {"zf": 8, "two-kinds": 8}
+        logged = [
+            (r.args[0], r.args[1], r.args[2], r.args[4], r.exc_info[0])
+            for r in caplog.records
+        ]
+        assert logged == [
+            (pid, kind.__name__, count, realization, kind)
+            for realization in (0, 1)
+            for pid, kind, count in (
+                ("zf", ValueError, 4),
+                ("two-kinds", ValueError, 3),
+                ("two-kinds", RuntimeError, 1),
+            )
+        ]
+        assert "4 of 4 symbol times of realization 0" in caplog.records[0].getMessage()
 
 
 class TestSpecValidation:

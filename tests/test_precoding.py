@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from onebit_precoding import (
     OneBitVector,
+    PrecodingInstance,
     build_instance,
     min_margin,
     one_bit_amplitude,
@@ -52,18 +53,20 @@ class TestCot:
 class TestBuildInstance:
     def test_single_user_single_antenna_qpsk(self):
         inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), 4, 1.0)
-        np.testing.assert_allclose(inst.u, [[-1.0, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(inst.w, [[-1.0, -1.0]], atol=1e-12)
+        np.testing.assert_allclose(inst.forms[:1], [[-1.0, 1.0]], atol=1e-12)  # u
+        np.testing.assert_allclose(inst.forms[1:], [[-1.0, -1.0]], atol=1e-12)  # w
 
     def test_bpsk_collapses_to_single_form(self):
         rng = np.random.default_rng(0)
         H, symbols, inst = random_instance(rng, order=2)
-        np.testing.assert_array_equal(inst.u, inst.w)
+        k = inst.n_users
+        u, w = inst.forms[:k], inst.forms[k:]
+        np.testing.assert_array_equal(u, w)
         # u = w = -b with b built from s* h rows
         s = np.exp(2j * np.pi * symbols / 2)
         g = np.conj(s)[:, None] * H
         b = np.concatenate([g.real, -g.imag], axis=1)
-        np.testing.assert_allclose(inst.u, -b, atol=1e-12)
+        np.testing.assert_allclose(u, -b, atol=1e-12)
 
     def test_forms_encode_negated_margin(self):
         """max(u_i . x, w_i . x) equals -alpha_i computed in complex arithmetic."""
@@ -73,9 +76,10 @@ class TestBuildInstance:
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             x_real = to_real(x)
             s = np.exp(2j * np.pi * symbols / 8)
+            u, w = inst.forms[:3], inst.forms[3:]
             for i in range(3):
                 alpha = safety_margin(H[i], x, s[i], 8)
-                pair_max = max(inst.u[i] @ x_real, inst.w[i] @ x_real)
+                pair_max = max(u[i] @ x_real, w[i] @ x_real)
                 assert pair_max == pytest.approx(-alpha, abs=1e-12)
 
     def test_symbol_count_mismatch_raises(self):
@@ -86,7 +90,12 @@ class TestBuildInstance:
         rng = np.random.default_rng(2)
         _, _, inst = random_instance(rng)
         with pytest.raises(ValueError):
-            inst.u[0, 0] = 1.0
+            inst.forms[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (4,)])
+    def test_instance_rejects_odd_shapes(self, shape):
+        with pytest.raises(ValueError):
+            PrecodingInstance(np.zeros(shape), 1.0)
 
 
 class TestSafetyMargin:
