@@ -7,8 +7,9 @@ Subcommands:
   oracle-compare Compare the solver against brute-force enumeration on tiny
                  instances.
 
-A config file of ``key = value`` lines may supply any ``run`` flag; explicit
-flags override it. Lines starting with ``#`` have the marker stripped first,
+A config file of ``key = value`` lines may supply any ``run`` flag; its
+values are typed and checked like the flags', and explicit flags override
+them. Lines starting with ``#`` have the marker stripped first,
 so the comment header of a results CSV is itself a valid config file and
 ``run --config results.csv --out replay.csv`` reproduces a run.
 """
@@ -20,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -32,29 +34,19 @@ from .sep_analysis import run_verification
 
 WORKERS_ENV = "ONEBIT_PRECODING_WORKERS"
 
-# Solver flag -> (SolverConfig field, help); SolverConfig holds the defaults.
+# Solver flag -> help; the flag names a SolverConfig field, which holds the default.
 SOLVER_FLAGS = {
-    "mu": ("mu", "smoothing parameter"),
-    "lambda0": ("lambda0", "initial penalty weight"),
-    "delta": ("delta", "penalty growth factor"),
-    "lambda-max": ("lambda_max", "stop once the penalty exceeds this"),
+    "mu": "smoothing parameter",
+    "lambda0": "initial penalty weight",
+    "delta": "penalty growth factor",
+    "lambda-max": "stop once the penalty exceeds this",
 }
-_SOLVER_DEFAULTS = SolverConfig()
 
-# desk-scale defaults; the full-protocol sizes are one flag away
-RUN_DEFAULTS = {
-    "antennas": 32,
-    "users": 8,
-    "block": 100,
-    "power": 1.0,
-    "mod": "psk8",
-    "snr": "0:5:25",
-    "trials": 100,
-    "precoders": "falm,msm,zf-ob,zf",
-    "seed": 1,
-    "workers": None,  # resolved from env, else 1
-    **{flag: getattr(_SOLVER_DEFAULTS, name) for flag, (name, _) in SOLVER_FLAGS.items()},
-}
+# The run flags a config file may set, in the replay header's order.
+RUN_KEYS = (
+    "antennas", "users", "block", "power", "mod", "snr", "trials", "precoders", "seed",
+    "workers", *SOLVER_FLAGS,
+)
 
 
 class CliError(Exception):
@@ -124,38 +116,12 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, file_values: dict) -> dict:
-    """flags > config file > defaults, as strings/numbers keyed by flag name."""
-    resolved = {}
-    for key, default in RUN_DEFAULTS.items():
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
-        if value is None:
-            value = file_values.get(key)
-        if value is None:
-            value = default
-        resolved[key] = value
-    if resolved["workers"] is None:
-        resolved["workers"] = int(os.environ.get(WORKERS_ENV, "1"))
-    return resolved
-
-
-def build_run_spec(resolved: dict) -> ExperimentSpec:
-    order = parse_modulation(str(resolved["mod"]))
-    snr = parse_snr(str(resolved["snr"]))
-    precoders = tuple(p.strip() for p in str(resolved["precoders"]).split(",") if p.strip())
-    try:
-        antennas = int(resolved["antennas"])
-        users = int(resolved["users"])
-        block = int(resolved["block"])
-        power = float(resolved["power"])
-        trials = int(resolved["trials"])
-        seed = int(resolved["seed"])
-        workers = int(resolved["workers"])
-        solver = solver_config(resolved)
-    except ValueError as exc:
-        raise CliError(f"invalid run parameter: {exc}") from None
-    check_dimensions(antennas, users)
+def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
+    order = parse_modulation(args.mod)
+    snr = parse_snr(args.snr)
+    precoders = tuple(p.strip() for p in args.precoders.split(",") if p.strip())
+    solver = _solver_from_args(args)
+    check_dimensions(args.antennas, args.users)
     for pid in precoders:
         try:
             get_precoder(pid, solver)
@@ -163,71 +129,77 @@ def build_run_spec(resolved: dict) -> ExperimentSpec:
             raise CliError(f"--precoders: {exc.args[0]}") from None
     try:
         return ExperimentSpec(
-            n_antennas=antennas,
-            n_users=users,
-            block_length=block,
-            total_power=power,
+            n_antennas=args.antennas,
+            n_users=args.users,
+            block_length=args.block,
+            total_power=args.power,
             order=order,
             snr_db=snr,
             precoder_ids=precoders,
-            n_realizations=trials,
-            base_seed=seed,
-            n_workers=workers,
+            n_realizations=args.trials,
+            base_seed=args.seed,
+            n_workers=args.workers,
             solver=solver,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def resolved_header(resolved: dict) -> dict:
+def run_header(args: argparse.Namespace) -> dict:
     """Canonical config header written to the CSV; feeding it back through
     --config reproduces the run."""
-    header = dict(resolved)
-    header["snr"] = ",".join(f"{v:g}" for v in parse_snr(str(resolved["snr"])))
+    header = {key: getattr(args, key.replace("-", "_")) for key in RUN_KEYS}
+    header["snr"] = ",".join(f"{v:g}" for v in parse_snr(args.snr))
     return header
 
 
-def solver_config(values: dict) -> SolverConfig:
-    """SolverConfig from values (numbers or strings) keyed by solver flag; a
-    flag that is absent or None keeps the field's default."""
-    kw = {}
-    for flag, (name, _) in SOLVER_FLAGS.items():
-        if values.get(flag) is not None:
-            kw[name] = type(getattr(_SOLVER_DEFAULTS, name))(values[flag])
-    return SolverConfig(**kw)
-
-
 def _add_solver_flags(parser):
-    for flag, (name, text) in SOLVER_FLAGS.items():
-        kind = type(getattr(_SOLVER_DEFAULTS, name))
-        parser.add_argument(f"--{flag}", type=kind, default=None, help=text)
+    defaults = SolverConfig()
+    for flag, text in SOLVER_FLAGS.items():
+        default = getattr(defaults, flag.replace("-", "_"))
+        parser.add_argument(f"--{flag}", type=type(default), default=default, help=text)
 
 
 def _solver_from_args(args) -> SolverConfig:
-    return solver_config({flag: getattr(args, flag.replace("-", "_")) for flag in SOLVER_FLAGS})
+    fields = [flag.replace("-", "_") for flag in SOLVER_FLAGS]
+    try:
+        return SolverConfig(**{name: getattr(args, name) for name in fields})
+    except ValueError as exc:
+        raise CliError(f"invalid solver parameter: {exc}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The parser; ``config`` holds a config file's key = value pairs, whose
+    run keys become the run flags' defaults. A default given as a string is
+    converted by its flag's type, so file values are checked like flags."""
     parser = argparse.ArgumentParser(
         prog="onebit-precoding",
         description="One-bit MPSK precoding: minimum-SEP solver, baselines, BER harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="Monte-Carlo BER sweep to CSV")
-    run.add_argument("--antennas", type=int, default=None, help="transmit antennas N")
-    run.add_argument("--users", type=int, default=None, help="single-antenna users K")
-    run.add_argument("--block", type=int, default=None, help="symbol times per channel realization")
-    run.add_argument("--power", type=float, default=None, help="total transmit power P")
-    run.add_argument("--mod", type=str, default=None, help="modulation, e.g. psk4, psk8, psk16")
-    run.add_argument("--snr", type=str, default=None, help="P/sigma^2 in dB: 'start:step:stop' or comma list")
-    run.add_argument("--trials", type=int, default=None, help="channel realizations")
-    run.add_argument("--precoders", type=str, default=None, help=f"comma list from {available_precoders()}")
-    run.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    run.add_argument("--workers", type=int, default=None, help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    # desk-scale defaults; the full-protocol sizes are one flag away
+    run = sub.add_parser(
+        "run",
+        help="Monte-Carlo BER sweep to CSV",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    )
+    run.add_argument("--antennas", type=int, default=32, help="transmit antennas N")
+    run.add_argument("--users", type=int, default=8, help="single-antenna users K")
+    run.add_argument("--block", type=int, default=100, help="symbol times per channel realization")
+    run.add_argument("--power", type=float, default=1.0, help="total transmit power P")
+    run.add_argument("--mod", type=str, default="psk8", help="modulation, e.g. psk4, psk8, psk16")
+    run.add_argument("--snr", type=str, default="0:5:25", help="P/sigma^2 in dB: 'start:step:stop' or comma list")
+    run.add_argument("--trials", type=int, default=100, help="channel realizations")
+    run.add_argument("--precoders", type=str, default="falm,msm,zf-ob,zf", help=f"comma list from {available_precoders()}")
+    run.add_argument("--seed", type=int, default=1, help="base RNG seed")
+    run.add_argument("--workers", type=int, default=os.environ.get(WORKERS_ENV, "1"),
+                     help=f"worker processes; ${WORKERS_ENV} sets the default")
     run.add_argument("--config", type=str, default=None, help="key = value file; flags override")
     run.add_argument("--out", type=str, required=True, help="output CSV path")
     _add_solver_flags(run)
+    if config:
+        run.set_defaults(**{k.replace("-", "_"): v for k, v in config.items() if k in RUN_KEYS})
 
     verify = sub.add_parser("verify-sep", help="verify the SEP bound machinery")
     verify.add_argument("--seed", type=int, default=0)
@@ -255,11 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    resolved = _resolve(args, file_values)
-    spec = build_run_spec(resolved)
+    spec = build_run_spec(args)
     records = run_experiment(spec)
-    write_csv(records, args.out, header=resolved_header(resolved))
+    write_csv(records, args.out, header=run_header(args))
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -349,13 +319,17 @@ def _cmd_oracle_compare(args) -> int:
     return 0
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; with ``run --config``, parse it again with the file's
+    values as defaults, so flags > config file > built-in defaults."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "config", None):
+        args = build_parser(read_config_file(args.config)).parse_args(argv)
+    return args
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     handlers = {
         "run": _cmd_run,
         "verify-sep": _cmd_verify_sep,
@@ -363,7 +337,10 @@ def main(argv=None) -> int:
         "oracle-compare": _cmd_oracle_compare,
     }
     try:
+        args = parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return exc.code if isinstance(exc.code, int) else 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

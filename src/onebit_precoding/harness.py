@@ -133,9 +133,10 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     """Integer error counts for one realization.
 
     Returns (bit_errors, symbol_errors, ok_instances, failures, seconds)
-    with the first two shaped (precoders, snrs, users). Precoder exceptions
-    are logged once per precoder and exception type, with the first
-    traceback and the number of symbol times that raised it.
+    with the first two shaped (precoders, snrs, users). Failed instances, a
+    precoder exception or a non-finite reception, are logged once per
+    precoder and kind, with the number of symbol times that failed so, the
+    first of them and, for an exception, its first traceback.
     """
     constellation = MpskConstellation(spec.order)
     precoders = [get_precoder(pid, spec.solver) for pid in spec.precoder_ids]
@@ -148,7 +149,9 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
     ok_instances = np.zeros(n_p, dtype=np.int64)
     failures = np.zeros(n_p, dtype=np.int64)
     seconds = np.zeros(n_p)
-    raised = {}  # (precoder, exception type) -> [first exception, its t, count]
+    # (precoder, kind) -> [first exception or None, its t, count]; the kind
+    # is the exception's name or "non-finite reception"
+    failed = {}
 
     for t in range(spec.block_length):
         H, symbols, unit_noise = paired_streams(
@@ -160,32 +163,25 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
                 x = precoder(H, symbols, constellation, spec.total_power)
             except Exception as exc:
                 seconds[p] += time.perf_counter() - start
-                failures[p] += 1
-                raised.setdefault((p, type(exc)), [exc, t, 0])[2] += 1
+                failed.setdefault((p, type(exc).__name__), [exc, t, 0])[2] += 1
                 continue
             seconds[p] += time.perf_counter() - start
             noiseless = H @ x
             if not np.isfinite(noiseless).all():
-                failures[p] += 1
-                logger.warning(
-                    "precoder %s gave a non-finite reception on realization %d, t %d; "
-                    "instance excluded",
-                    spec.precoder_ids[p],
-                    realization,
-                    t,
-                )
+                failed.setdefault((p, "non-finite reception"), [None, t, 0])[2] += 1
                 continue
             ok_instances[p] += 1
             # One row per SNR point.
             detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
             symbol_errors[p] += detected != symbols
             bit_errors[p] += constellation.bit_distances[symbols, detected]
-    for (p, kind), (exc, t, count) in raised.items():
+    for (p, kind), (exc, t, count) in failed.items():
+        failures[p] += count
         logger.warning(
-            "precoder %s raised %s on %d of %d symbol times of realization %d "
+            "precoder %s failed with %s on %d of %d symbol times of realization %d "
             "(first at t %d); instances excluded",
             spec.precoder_ids[p],
-            kind.__name__,
+            kind,
             count,
             spec.block_length,
             realization,

@@ -197,6 +197,31 @@ class TestRunCommand:
         assert code == 0
         assert "# seed = 77" in out.read_text().splitlines()
 
+    def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("antennas = x\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "argument --antennas: invalid int value: 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_writes_the_header_of_its_flags(self, tmp_path, monkeypatch):
+        """A hand-written config gives the canonical header of the same flags."""
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
+        cfg = tmp_path / "cfg"
+        cfg.write_text("power = 1\nlambda-max = 1e2\n")
+        from_config, from_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert main(["run", "--power", "1", "--lambda-max", "1e2", "--out", str(from_flags)]) == 0
+        assert from_config.read_text() == from_flags.read_text()
+        assert "# power = 1.0" in from_config.read_text().splitlines()
+
+    def test_help_shows_the_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["run", "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(l.lstrip().startswith("--antennas ") and "(default: 32)" in l for l in lines)
+
 
 class TestOtherCommands:
     def test_solve_one(self, capsys, tmp_path):

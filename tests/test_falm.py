@@ -352,6 +352,22 @@ class FullTestCounter:
         return np.dot(a, b, *out)
 
 
+class ForwardCounter:
+    """Stands in for numpy inside ``falm`` and counts the APG loop's forward
+    products: its only products of a (2K + 1) x 2N matrix."""
+
+    def __init__(self, instance):
+        self.shape = (2 * instance.n_users + 1, 2 * instance.n_antennas)
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, *out):
+        self.count += np.shape(a) == self.shape
+        return np.dot(a, b, *out)
+
+
 class ProbeCounter:
     """Stands in for the builtin abs inside ``falm`` and counts the APG
     loop's probe-rail reads: its only call of abs, one per iteration."""
@@ -416,6 +432,40 @@ class TestApgMatchesReference:
             reported += [s.apg_iterations for s in falm_solve(inst).steps]
         assert reported == ran
         assert "stall" in exits
+
+    def test_stall_from_x_skips_the_repeated_step(self, monkeypatch):
+        """A stalled call's x is final: a call started there has its first
+        step rejected, and that step from y = x is the restart's plain step.
+        The call stalls after one iteration without computing it again: one
+        forward product at the start and one for the step."""
+        rng = np.random.default_rng(22)
+        real_apg = falm._apg
+        stalls = []
+
+        def recording_apg(*args):
+            exits = []
+            x, _ = reference_apg(*args, exits=exits)
+            if exits == ["stall"]:
+                stalls.append((args, x))
+            return real_apg(*args)
+
+        monkeypatch.setattr(falm, "_apg", recording_apg)
+        for _ in range(2):
+            falm_solve(random_instance(rng, n_users=8, n_antennas=32, order=8))
+        monkeypatch.undo()
+        (inst, v, lam, mu, _, config), x_stalled = stalls[0]
+
+        counter = ForwardCounter(inst)
+        monkeypatch.setattr(falm, "np", counter)
+        x, iterations = falm._apg(inst, v, lam, mu, x_stalled, config)
+        monkeypatch.undo()
+        exits = []
+        x_ref, iterations_ref = reference_apg(inst, v, lam, mu, x_stalled, config, exits=exits)
+        assert exits == ["stall"]
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(x, x_stalled)
+        assert iterations == iterations_ref == 1
+        assert counter.count == 2
 
     def test_loose_tolerance(self, monkeypatch):
         """At a loose tolerance the probe rail often leaves the decision to

@@ -189,10 +189,35 @@ class TestRunExperiment:
             assert r.failures == 1, r.precoder
             assert r.symbol_count == (spec.block_length - 1) * spec.n_users, r.precoder
         for pid in ("zf", "zf-ob"):
-            assert any(
-                f"precoder {pid} gave a non-finite reception on realization 0, t 1" in m
-                for m in caplog.messages
-            )
+            assert (
+                f"precoder {pid} failed with non-finite reception on 1 of 3 symbol times "
+                "of realization 0 (first at t 1); instances excluded"
+            ) in caplog.messages
+
+    def test_one_line_per_realization_of_non_finite_receptions(self, monkeypatch, caplog):
+        """A precoder whose rails are NaN fails on all T=4 symbol times of
+        both realizations: each realization logs one line, with the count
+        and the first t, and every failure is counted."""
+
+        def nan_rails(config):
+            def precode(H, symbols, constellation, power):
+                return np.full(H.shape[1], np.nan + 0j)
+
+            return precode
+
+        monkeypatch.setitem(baselines._REGISTRY, "nan-rails", nan_rails)
+        spec = make_spec(
+            n_antennas=4, n_users=2, block_length=4, precoder_ids=("nan-rails",),
+            n_realizations=2,
+        )
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            records = run_experiment(spec)
+        assert [r.failures for r in records] == [8, 8]
+        assert caplog.messages == [
+            f"precoder nan-rails failed with non-finite reception on 4 of 4 symbol times "
+            f"of realization {realization} (first at t 0); instances excluded"
+            for realization in (0, 1)
+        ]
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_failing_realization_is_named(self, monkeypatch, n_workers):
