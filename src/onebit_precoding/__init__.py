@@ -26,7 +26,6 @@ from .falm import (
     SolverConfig,
     SolverFailure,
     falm_solve,
-    smoothed_gradient,
     smoothed_objective,
     update_v,
 )
@@ -37,12 +36,13 @@ from .precoding import (
     build_instance,
     min_margin,
     one_bit_amplitude,
+    point_margin,
     quantize_one_bit,
     safety_margin,
     to_complex,
     to_real,
 )
-from .sep_analysis import PerturbedPoint, empirical_sep, perturb
+from .sep_analysis import empirical_sep
 
 __all__ = [
     "BerRecord",
@@ -50,7 +50,6 @@ __all__ = [
     "MpskConstellation",
     "MsmReport",
     "OneBitVector",
-    "PerturbedPoint",
     "PrecodingInstance",
     "RngSeed",
     "SolveReport",
@@ -68,13 +67,12 @@ __all__ = [
     "msm_precode",
     "one_bit_amplitude",
     "paired_streams",
-    "perturb",
+    "point_margin",
     "q_function",
     "quantize_one_bit",
     "run_experiment",
     "safety_margin",
     "sep_union_bound",
-    "smoothed_gradient",
     "smoothed_objective",
     "to_complex",
     "to_real",

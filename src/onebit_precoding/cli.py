@@ -28,7 +28,7 @@ import numpy as np
 from .baselines import available_precoders, get_precoder
 from .channel import RngSeed, SystemParams, draw_channel, draw_symbols
 from .falm import SolverConfig, falm_solve
-from .harness import ExperimentSpec, run_experiment, write_csv
+from .harness import ExperimentSpec, format_snr, run_experiment, write_csv
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
 from .sep_analysis import run_verification
 
@@ -88,12 +88,16 @@ def parse_snr(text: str) -> tuple:
     return tuple(start + step * k for k in range(count))
 
 
+def check_count(flag: str, value: int) -> None:
+    """The check of every count flag: ``--flag`` must be at least 1."""
+    if value < 1:
+        raise CliError(f"--{flag} must be >= 1, got {value}")
+
+
 def check_dimensions(antennas: int, users: int) -> None:
     """The system-size checks every subcommand shares."""
-    if antennas < 1:
-        raise CliError(f"--antennas must be >= 1, got {antennas}")
-    if users < 1:
-        raise CliError(f"--users must be >= 1, got {users}")
+    check_count("antennas", antennas)
+    check_count("users", users)
     if users > 2 * antennas:
         raise CliError(f"--users {users} exceeds 2 * --antennas = {2 * antennas}")
 
@@ -122,6 +126,8 @@ def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
     precoders = tuple(p.strip() for p in args.precoders.split(",") if p.strip())
     solver = _solver_from_args(args)
     check_dimensions(args.antennas, args.users)
+    for flag in ("block", "trials", "workers"):
+        check_count(flag, getattr(args, flag))
     for pid in precoders:
         try:
             get_precoder(pid, solver)
@@ -149,7 +155,7 @@ def run_header(args: argparse.Namespace) -> dict:
     """Canonical config header written to the CSV; feeding it back through
     --config reproduces the run."""
     header = {key: getattr(args, key.replace("-", "_")) for key in RUN_KEYS}
-    header["snr"] = ",".join(f"{v:g}" for v in parse_snr(args.snr))
+    header["snr"] = ",".join(format_snr(v) for v in parse_snr(args.snr))
     return header
 
 
@@ -235,6 +241,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_sep(args) -> int:
+    check_count("implication-draws", args.implication_draws)
+    check_count("bound-trials", args.bound_trials)
     results = run_verification(
         seed=args.seed,
         implication_draws=args.implication_draws,
@@ -289,8 +297,7 @@ def _cmd_oracle_compare(args) -> int:
         )
     if not 0 < args.power < math.inf:
         raise CliError(f"--power must be positive and finite, got {args.power}")
-    if args.seeds < 1:
-        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
+    check_count("seeds", args.seeds)
     config = _solver_from_args(args)
     hits = 0
     exact = 0

@@ -3,6 +3,7 @@ classical SEP union bound."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,9 @@ def sep_union_bound(alpha: float, sigma: float, order: int) -> float:
 
     ``alpha`` may be negative; the bound then exceeds 1 before clipping.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    # Written so that NaN fails too.
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     arg = alpha * np.sqrt(2.0) / sigma * np.sin(np.pi / order)
     return float(min(1.0, 2.0 * q_function(arg)))
 

@@ -97,30 +97,14 @@ class SolveReport:
         return sum(step.apg_iterations for step in self.steps)
 
 
-def _scores(instance: PrecodingInstance, x_real: np.ndarray, mu: float):
-    """Shifted exponents of the surrogate; shared by value and gradient."""
-    z = (instance.forms @ x_real) / mu
-    zmax = z.max()
-    e = np.exp(z - zmax)
-    return zmax, e
-
-
 def smoothed_objective(instance: PrecodingInstance, x_real: np.ndarray, mu: float) -> float:
     """Log-sum-exp upper surrogate of the negated worst-user margin,
     evaluated with max-subtraction so large |x|/mu cannot overflow."""
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    zmax, e = _scores(instance, np.asarray(x_real, dtype=float), mu)
-    return float(mu * (zmax + np.log(e.sum())))
-
-
-def smoothed_gradient(instance: PrecodingInstance, x_real: np.ndarray, mu: float) -> np.ndarray:
-    """Gradient of the surrogate: softmax-weighted combination of the margin
-    forms. The weights are computed with max-subtraction and sum to 1."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    _, e = _scores(instance, np.asarray(x_real, dtype=float), mu)
-    return instance.forms.T @ (e / e.sum())
+    z = (instance.forms @ np.asarray(x_real, dtype=float)) / mu
+    zmax = z.max()
+    return float(mu * (zmax + np.log(np.exp(z - zmax).sum())))
 
 
 def update_v(x_real: np.ndarray, power: float) -> np.ndarray:

@@ -276,6 +276,13 @@ CSV_COLUMNS = (
 )
 
 
+def format_snr(snr_db: float) -> str:
+    """An SNR point as CSV text: ':g' where that reads back as the same
+    float, repr otherwise, so a replay sweeps exactly the recorded points."""
+    text = f"{snr_db:g}"
+    return text if float(text) == snr_db else repr(float(snr_db))
+
+
 def write_csv(records, path: str, header: Optional[dict] = None):
     """Write records with an optional resolved-config comment header. Field
     formatting is fixed so replays are byte-identical apart from
@@ -290,7 +297,7 @@ def write_csv(records, path: str, header: Optional[dict] = None):
             writer.writerow(
                 [
                     r.precoder,
-                    f"{r.snr_db:g}",
+                    format_snr(r.snr_db),
                     f"{r.ber:.10e}",
                     f"{r.ser:.10e}",
                     f"{r.worst_user_ber:.10e}",

@@ -146,10 +146,17 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
     return PrecodingInstance(np.vstack([-b + r, -b - r]), power)
 
 
+def point_margin(z, order: int):
+    """Safety margin Re z - |Im z| cot(pi/M) of a noiseless point z decoded
+    against the symbol 1; elementwise on arrays."""
+    z = np.asarray(z)
+    return z.real - np.abs(z.imag) * cot_half_sector(order)
+
+
 def safety_margin(h: np.ndarray, x: np.ndarray, symbol: complex, order: int) -> float:
-    """Safety margin of one user, evaluated in complex arithmetic."""
-    c = np.asarray(h) @ np.asarray(x) * np.conj(symbol)
-    return float(c.real - np.abs(c.imag) * cot_half_sector(order))
+    """Safety margin of one user, evaluated in complex arithmetic on its
+    reception rotated by the conjugate of its intended symbol."""
+    return float(point_margin(np.asarray(h) @ np.asarray(x) * np.conj(symbol), order))
 
 
 def min_margin(instance: PrecodingInstance, x_real: np.ndarray) -> float:

@@ -3,8 +3,9 @@
 The scalar problem: a noiseless point z (arbitrary complex) is observed in
 circular complex Gaussian noise, w = z + eta, and decoded against the symbol
 1 (index 0). Shifting z by delta_z = -|Im z| cot(pi/M) - j Im z collapses it
-onto the real axis at z_hat = alpha = Re z - |Im z| cot(pi/M), the same form
-as the precoding safety margin. Two facts are verified here empirically:
+onto the real axis at z_hat = alpha = Re z - |Im z| cot(pi/M), the safety
+margin of the point (precoding.point_margin). Two facts are verified here
+empirically:
 
   * whenever the shifted observation z_hat + eta decodes correctly, so does
     z + eta (for every noise draw, not just on average), hence
@@ -15,35 +16,14 @@ as the precoding safety margin. Two facts are verified here empirically:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngSeed
+from .channel import RngSeed, _generator
 from .constellation import MpskConstellation, sep_union_bound
-from .precoding import cot_half_sector
-
-
-@dataclass(frozen=True)
-class PerturbedPoint:
-    """A noiseless point together with its margin-collapsing shift.
-
-    Satisfies z + delta_z = z_hat exactly, with z_hat real.
-    """
-
-    z: complex
-    z_hat: float
-    delta_z: complex
-    order: int
-
-
-def perturb(z: complex, order: int) -> PerturbedPoint:
-    """Shift z onto the real axis at its safety margin."""
-    z = complex(z)
-    cot = cot_half_sector(order)
-    delta_z = -abs(z.imag) * cot - 1j * z.imag
-    z_hat = z.real - abs(z.imag) * cot
-    return PerturbedPoint(z=z, z_hat=z_hat, delta_z=delta_z, order=order)
+from .precoding import one_bit_amplitude, point_margin, safety_margin
 
 
 @dataclass(frozen=True)
@@ -61,14 +41,16 @@ class SepEstimate:
 
 def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, seed) -> SepEstimate:
     """Estimate Pr(dec(z + eta) != 1) and Pr(dec(z_hat + eta) != 1) from
-    ``n_trials`` shared noise draws of variance sigma^2."""
+    ``n_trials`` shared noise draws of variance sigma^2, z_hat being the
+    point_margin of z."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    rng = seed.generator() if isinstance(seed, RngSeed) else np.random.default_rng(seed)
+    # Written so that NaN fails too.
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    rng = _generator(seed)
     c = MpskConstellation(order)
-    z_hat = perturb(z, order).z_hat
+    z_hat = point_margin(z, order)
     eta = (
         sigma
         / np.sqrt(2.0)
@@ -105,9 +87,7 @@ def _implication_violations(order: int, n_draws: int, seed: RngSeed) -> int:
     c = MpskConstellation(order)
     z = rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
     eta = rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
-    cot = cot_half_sector(order)
-    z_hat = z.real - np.abs(z.imag) * cot
-    shifted_ok = c.decide(z_hat + eta) == 0
+    shifted_ok = c.decide(point_margin(z, order) + eta) == 0
     plain_ok = c.decide(z + eta) == 0
     return int(np.count_nonzero(shifted_ok & ~plain_ok))
 
@@ -157,7 +137,7 @@ def run_verification(
         worst_bound = -np.inf
         for j, z in enumerate(points):
             est = empirical_sep(z, sigma, order, bound_trials, base.child(2, order, j))
-            alpha = perturb(z, order).z_hat
+            alpha = point_margin(z, order)
             bound = sep_union_bound(alpha, sigma, order)
             se_pair = np.hypot(est.std_err, est.std_err_shifted)
             chain_gap = est.err_rate - est.err_rate_shifted - 3.0 * se_pair
@@ -189,8 +169,6 @@ def _precoded_reception_check(seed: RngSeed, n_trials: int, sigma: float) -> Che
     """Union bound on the per-user SEP of an actual one-bit transmission:
     for each user the reception rotated by the intended symbol is a scalar
     point whose margin feeds the closed-form bound."""
-    from .precoding import one_bit_amplitude, safety_margin
-
     rng = seed.generator()
     n_antennas, n_users, order, power = 16, 4, 8, 1.0
     H = (

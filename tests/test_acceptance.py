@@ -17,14 +17,14 @@ from onebit_precoding import (
     build_instance,
     empirical_sep,
     falm_solve,
-    perturb,
+    point_margin,
     run_experiment,
     sep_union_bound,
-    smoothed_gradient,
     smoothed_objective,
     update_v,
     write_csv,
 )
+from onebit_precoding.falm import _apg
 from onebit_precoding.precoding import optimal_onebit_margin
 from onebit_precoding.sep_analysis import _implication_violations
 
@@ -78,7 +78,7 @@ def test_criterion_02_empirical_chain_and_union_bound():
     sign_cover = {order: set() for order in (4, 8, 16)}
     for order in (4, 8, 16):
         for j, z in enumerate(points):
-            alpha = perturb(z, order).z_hat
+            alpha = point_margin(z, order)
             sign_cover[order].add(alpha > 0)
             est = empirical_sep(z, sigma, order, trials, RngSeed(203, (order, j)))
             bound = sep_union_bound(alpha, sigma, order)
@@ -120,25 +120,46 @@ def test_criterion_03_smoothing_sandwich():
 
 
 def test_criterion_04_gradient_matches_finite_differences():
+    """The gradient FALM steps along is that of the penalized surrogate
+    f(x) + lam * (P - x . v). One APG iteration from x with the box far away
+    (P = 100 gives a >= 2.5 against |x| <= 0.5) is the plain step
+    x1 = x - step * grad, so (x - x1) / step is the solver's own gradient."""
     rng = np.random.default_rng(404)
-    mu, step = 0.1, 1e-6
+    v_rng = np.random.default_rng(405)
+    mu, lam, power, step = 0.1, 1.0, 100.0, 1e-6
+    config = SolverConfig(mu=mu, apg_max_iters=1)
     worst = 0.0
+    box_gap = np.inf
+    single_steps = True
     for _ in range(100):
-        inst = random_instance(rng)
+        inst = random_instance(rng, power=power)
         n2 = 2 * inst.n_antennas
         x = rng.uniform(-0.5, 0.5, size=n2)
-        grad = smoothed_gradient(inst, x, mu)
+        v = update_v(v_rng.standard_normal(n2), power)
+        x1, iterations = _apg(inst, v, lam, mu, x, config)
+        single_steps &= iterations == 1 and not np.array_equal(x1, x)
+        box_gap = min(box_gap, inst.amplitude - np.max(np.abs(x1)))
+        apg_step = 1.0 / (inst.spectral_norm**2 / mu)  # _apg's fixed 1/L
+        grad = (x - x1) / apg_step
+
+        def penalized(p):
+            return smoothed_objective(inst, p, mu) + lam * (power - p @ v)
+
         fd = np.empty(n2)
         for j in range(n2):
             e = np.zeros(n2)
             e[j] = step
-            fd[j] = (
-                smoothed_objective(inst, x + e, mu) - smoothed_objective(inst, x - e, mu)
-            ) / (2 * step)
+            fd[j] = (penalized(x + e) - penalized(x - e)) / (2 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-300)
         worst = max(worst, rel)
-    ok = worst <= 1e-5
-    line = report(4, "gradient finite-difference check", ok, f"worst relative error {worst:.2e} at 100 points")
+    ok = worst <= 1e-5 and single_steps and box_gap > 0
+    line = report(
+        4,
+        "APG step matches finite-difference gradient",
+        ok,
+        f"worst relative error {worst:.2e} at 100 points, one moving step each: "
+        f"{single_steps}, min distance to the box {box_gap:.2f}",
+    )
     assert ok, line
 
 

@@ -138,6 +138,25 @@ class TestRunCommand:
         assert f"SNR point {point} dB is out of range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_replays_an_snr_that_g_would_round(self, tmp_path, monkeypatch):
+        """Six significant digits would write 3.00000049 dB as 3, and the
+        replay would sweep 3 dB."""
+        first = tmp_path / "a.csv"
+        args = [
+            "run",
+            "--antennas", "4", "--users", "2", "--block", "2",
+            "--mod", "psk4", "--snr", "3.00000049,10", "--trials", "2",
+            "--precoders", "zf-ob", "--seed", "3", "--out", str(first),
+        ]
+        assert main(args) == 0
+        lines = first.read_text().splitlines()
+        assert "# snr = 3.00000049,10" in lines
+        assert [l.split(",")[1] for l in lines if l.startswith("zf-ob,")] == ["3.00000049", "10"]
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        assert main(["run", "--config", str(first), "--out", str(tmp_path / "b.csv")]) == 0
+        assert specs[0].snr_db == (3.00000049, 10.0)
+
     def test_default_header_is_stable(self, tmp_path, monkeypatch):
         """The replay header's keys, order and default values; its solver
         entries are SolverConfig()'s own defaults."""
@@ -272,6 +291,12 @@ class TestOtherCommands:
             ("oracle-compare", ["--power", "-1"], "--power"),
             ("oracle-compare", ["--power", "nan"], "--power"),
             ("oracle-compare", ["--power", "inf"], "--power"),
+            ("run", ["--block", "0"], "--block"),
+            ("run", ["--trials", "0"], "--trials"),
+            ("run", ["--workers", "0"], "--workers"),
+            ("verify-sep", ["--implication-draws", "0"], "--implication-draws"),
+            ("verify-sep", ["--implication-draws", "-3"], "--implication-draws"),
+            ("verify-sep", ["--bound-trials", "0"], "--bound-trials"),
         ],
     )
     def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):

@@ -121,6 +121,11 @@ class TestSepUnionBound:
         with pytest.raises(ValueError):
             sep_union_bound(1.0, -1.0, 4)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            sep_union_bound(0.5, sigma, 8)
+
     def test_q_function_accuracy(self):
         # high-precision tanh-sinh quadrature oracle; plain quad is too loose
         # in the deep tail

@@ -14,7 +14,6 @@ from onebit_precoding import (
     build_instance,
     falm_solve,
     min_margin,
-    smoothed_gradient,
     smoothed_objective,
     update_v,
 )
@@ -198,37 +197,6 @@ class TestSmoothedObjective:
         inst = random_instance(np.random.default_rng(4))
         with pytest.raises(ValueError):
             smoothed_objective(inst, np.zeros(6), 0.0)
-
-
-class TestSmoothedGradient:
-    def test_bpsk_single_user_gradient_is_form(self):
-        inst = build_instance(np.array([[0.4 - 0.9j]]), np.array([1]), 2, 1.0)
-        x = np.array([0.2, -0.1])
-        u0 = inst.forms[0]
-        np.testing.assert_allclose(smoothed_gradient(inst, x, 0.01), u0, atol=1e-12)
-
-    def test_uniform_weights_at_origin(self):
-        rng = np.random.default_rng(5)
-        inst = random_instance(rng)
-        grad = smoothed_gradient(inst, np.zeros(6), 0.01)
-        np.testing.assert_allclose(grad, inst.forms.mean(axis=0), atol=1e-12)
-
-    def test_finite_difference_oracle(self):
-        rng = np.random.default_rng(6)
-        mu, step = 0.1, 1e-6
-        for _ in range(25):
-            inst = random_instance(rng)
-            x = rng.uniform(-0.5, 0.5, size=6)
-            grad = smoothed_gradient(inst, x, mu)
-            fd = np.empty_like(grad)
-            for j in range(6):
-                e = np.zeros(6)
-                e[j] = step
-                fd[j] = (
-                    smoothed_objective(inst, x + e, mu)
-                    - smoothed_objective(inst, x - e, mu)
-                ) / (2 * step)
-            assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-12)
 
 
 class TestUpdateV:

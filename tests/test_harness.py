@@ -428,6 +428,14 @@ class TestCsv:
         assert lines[3].startswith("zf,0,1.0000000000e-01,2.0000000000e-01,")
         assert len(lines) == 5
 
+    def test_snr_text_round_trips(self):
+        """':g' where it reads back exactly, so default headers keep their
+        form; repr where it would round."""
+        assert [harness.format_snr(s) for s in (0.0, 25.0, -5.0, 2.5)] == ["0", "25", "-5", "2.5"]
+        for snr in (3.00000049, 0.1 * 3, 1e-7 + 20.0):
+            assert float(harness.format_snr(snr)) == snr
+        assert harness.format_snr(3.00000049) == "3.00000049"
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             BerRecord("zf", 0.0, 1.5, 0.2, 0.1, 1, 1, 1, 0, 0.0)

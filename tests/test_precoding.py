@@ -13,6 +13,7 @@ from onebit_precoding import (
     build_instance,
     min_margin,
     one_bit_amplitude,
+    point_margin,
     quantize_one_bit,
     safety_margin,
     to_complex,
@@ -128,6 +129,17 @@ class TestSafetyMargin:
         base = safety_margin(h, x, np.exp(2j * np.pi / 8), 8)
         scaled = safety_margin(h, c * x, np.exp(2j * np.pi / 8), 8)
         assert scaled == pytest.approx(c * base, rel=1e-9)
+
+
+class TestPointMargin:
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        for order in (2, 4, 8, 16):
+            margins = point_margin(z, order)
+            assert margins.shape == z.shape
+            expected = [point_margin(complex(p), order) for p in z.ravel()]
+            assert margins.ravel().tolist() == expected
 
 
 class TestMinMargin:

@@ -1,4 +1,4 @@
-"""Tests for the margin-collapsing perturbation and the empirical SEP chain."""
+"""Tests for the margin-collapsing shift and the empirical SEP chain."""
 
 import numpy as np
 import pytest
@@ -7,42 +7,43 @@ from onebit_precoding import (
     MpskConstellation,
     RngSeed,
     empirical_sep,
-    perturb,
+    point_margin,
     sep_union_bound,
 )
 from onebit_precoding.sep_analysis import _implication_violations, run_verification
 
 
 class TestPerturb:
+    """The shifted point z_hat is the point margin of z."""
+
     def test_real_point_is_unchanged(self):
-        p = perturb(2.0 + 0j, 8)
-        assert p.delta_z == 0
-        assert p.z_hat == 2.0
+        assert point_margin(2.0 + 0j, 8) == 2.0
 
     def test_qpsk_diagonal_collapses_to_zero(self):
-        p = perturb(1 + 1j, 4)
-        assert p.delta_z == pytest.approx(-1 - 1j, abs=1e-12)
-        assert p.z_hat == pytest.approx(0.0, abs=1e-12)
+        assert point_margin(1 + 1j, 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_margin_point(self):
-        p = perturb(0.2 + 0.9j, 8)
-        assert p.z_hat == pytest.approx(0.2 - 0.9 * (1 + np.sqrt(2.0)), abs=1e-12)
+        assert point_margin(0.2 + 0.9j, 8) == pytest.approx(
+            0.2 - 0.9 * (1 + np.sqrt(2.0)), abs=1e-12
+        )
 
     def test_shift_lands_exactly_on_margin(self):
+        """z + delta_z with delta_z = -|Im z| cot(pi/M) - j Im z is real and
+        equals the point margin."""
         rng = np.random.default_rng(0)
         for _ in range(200):
             z = complex(rng.standard_normal(), rng.standard_normal())
             order = int(rng.choice([2, 4, 8, 16]))
-            p = perturb(z, order)
-            shifted = z + p.delta_z
+            cot = 0.0 if order == 2 else 1.0 / np.tan(np.pi / order)
+            shifted = z - abs(z.imag) * cot - 1j * z.imag
             assert shifted.imag == pytest.approx(0.0, abs=1e-12)
-            assert shifted.real == pytest.approx(p.z_hat, abs=1e-12)
+            assert shifted.real == pytest.approx(point_margin(z, order), abs=1e-12)
 
 
 def decisions(z, eta, order):
     """(dec(shifted) correct?, dec(unshifted) correct?) for one noise draw."""
     c = MpskConstellation(order)
-    return c.decide(perturb(z, order).z_hat + eta) == 0, c.decide(z + eta) == 0
+    return c.decide(point_margin(z, order) + eta) == 0, c.decide(z + eta) == 0
 
 
 class TestCheckImplication:
@@ -82,7 +83,7 @@ class TestEmpiricalSep:
     def test_chain_against_closed_form(self):
         z, sigma, order, trials = 1.0 + 0j, 0.5, 8, 200_000
         est = empirical_sep(z, sigma, order, trials, seed=RngSeed(2, (5,)))
-        alpha = perturb(z, order).z_hat
+        alpha = point_margin(z, order)
         bound = sep_union_bound(alpha, sigma, order)
         assert est.err_rate <= est.err_rate_shifted  # exact under paired noise
         assert est.err_rate_shifted <= bound + 3 * est.std_err_shifted
@@ -92,6 +93,11 @@ class TestEmpiricalSep:
             empirical_sep(1.0, 1.0, 8, 0, seed=0)
         with pytest.raises(ValueError):
             empirical_sep(1.0, 0.0, 8, 10, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            empirical_sep(1.0, sigma, 8, 100, seed=0)
 
     def test_deterministic_given_seed(self):
         a = empirical_sep(0.4 + 0.2j, 0.7, 4, 5000, seed=RngSeed(3))
