@@ -282,6 +282,8 @@ def _cmd_solve_one(args) -> int:
     print(f"margin:            {report.margin:.6f}")
     print(f"outer iterations:  {report.outer_iterations}")
     print(f"inner iterations:  {report.inner_iterations}")
+    at_cap = sum(s.apg_iterations == config.apg_max_iters for s in report.steps)
+    print(f"apg calls at cap:  {at_cap} of {report.outer_iterations} (cap {config.apg_max_iters})")
     print(f"penalty trace:     {[f'{s.lam:g}' for s in report.steps]}")
     print(f"objective trace:   {[f'{s.objective:.4f}' for s in report.steps]}")
     print(f"penalty gap trace: {[f'{s.penalty_gap:.2e}' for s in report.steps]}")

@@ -40,8 +40,13 @@ class SolverConfig:
     """FALM hyperparameters.
 
     Defaults give the penalty trace 0.01, 0.1, 1, 10, 100 (five levels, one
-    geometric update per outer iteration) before termination. apg_tolerance
-    is a gradient-mapping norm threshold; None selects
+    geometric update per outer iteration) before termination, each level one
+    APG call of at most apg_max_iters iterations at the fixed step of
+    ``apg_step``. The paper runs 2,000 per level at step 1/L; the default
+    1,400 at the twice-larger step reaches the same mean worst-user margin
+    with about 70% of the iterations at N=32 and N=128, and same-seed BER
+    curves agree within paired Monte-Carlo error. apg_tolerance is a
+    gradient-mapping norm threshold; None selects
     1e-6 * sqrt(2N) * sqrt(P/2N) per instance.
     """
 
@@ -49,7 +54,7 @@ class SolverConfig:
     lambda0: float = 0.01
     delta: float = 10.0
     lambda_max: float = 100.0
-    apg_max_iters: int = 2000
+    apg_max_iters: int = 1400
     apg_tolerance: Optional[float] = None
 
     def __post_init__(self):
@@ -107,6 +112,23 @@ def smoothed_objective(instance: PrecodingInstance, x_real: np.ndarray, mu: floa
     return float(mu * (zmax + np.log(np.exp(z - zmax).sum())))
 
 
+def apg_step(instance: PrecodingInstance, mu: float) -> float:
+    """The fixed APG step 2/L, L = |forms|^2 / mu, with |.| the spectral norm.
+
+    The penalized surrogate's Hessian is (1/mu) F^T (diag(p) - p p^T) F, F
+    the forms and p the softmax weights of the scores F x / mu; the penalty
+    lam * (P - x . v) is linear in x and adds nothing. For a unit vector u,
+    u^T (diag(p) - p p^T) u is the variance of u's entries under p, which
+    Popoviciu's inequality bounds by (max u - min u)^2 / 4 <= 1/2. So the
+    gradient is Lipschitz with constant |F|^2 / (2 mu) = L / 2, and a step of
+    its inverse keeps the restart's plain projected-gradient step a descent
+    step (Beck & Teboulle, "A fast iterative shrinkage-thresholding
+    algorithm", SIAM J. Imaging Sci. 2009). It is exactly twice the 1/L of
+    the entropy-prox bound (Nesterov 2005).
+    """
+    return 2.0 / (instance.spectral_norm ** 2 / mu)
+
+
 def update_v(x_real: np.ndarray, power: float) -> np.ndarray:
     """Closed-form penalty minimizer over the ball |v|^2 <= P:
     sqrt(P) * x / |x| for x != 0, and 0 (feasible) at x = 0."""
@@ -136,7 +158,8 @@ def _apg(instance, v, lam, mu, x_init, config):
 
     Nesterov momentum is restarted whenever the accelerated step fails to
     decrease the objective, in which case a plain projected-gradient step is
-    taken instead (guaranteed descent at step <= 1/L). Returns
+    taken instead (guaranteed descent at the step of ``apg_step``, the
+    inverse of the gradient's Lipschitz constant). Returns
     (x, iterations), the iterations counting those the call ran; the
     returned objective never exceeds the initial one.
 
@@ -154,7 +177,7 @@ def _apg(instance, v, lam, mu, x_init, config):
     count match it bit for bit.
 
     A call ends at the tolerance, at the cap, or when it stalls: the plain
-    step of a restart is rejected too. The step is fixed at 1/L, so a stall
+    step of a restart is rejected too. The step is fixed, so a stall
     leaves (x, y = x, t = 1), from which every later iteration would
     recompute the same rejected step; x is final. A step rejected from
     y = x is that plain step already, so it stalls without recomputing it.
@@ -183,7 +206,7 @@ def _apg(instance, v, lam, mu, x_init, config):
     forward = np.asfortranarray(np.vstack([forms / mu, v]))
     transposed = np.asfortranarray(np.vstack([forms, v]).T)
 
-    step = 1.0 / (instance.spectral_norm ** 2 / mu)
+    step = apg_step(instance, mu)
     limit = 2.0 * tol * step
     probe = 0
 

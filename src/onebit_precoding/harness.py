@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -129,14 +129,24 @@ def paired_streams(base_seed: int, realization: int, t: int, params: SystemParam
     return H, symbols, noise
 
 
-def _realization_counts(spec: ExperimentSpec, realization: int):
+class RealizationCounts(NamedTuple):
+    """One realization's error counts: bit and symbol errors shaped
+    (precoders, snrs, users), and per precoder the symbol times solved, the
+    symbol times failed and the seconds spent precoding (telemetry)."""
+
+    bit_errors: np.ndarray
+    symbol_errors: np.ndarray
+    ok_instances: np.ndarray
+    failures: np.ndarray
+    seconds: np.ndarray
+
+
+def _realization_counts(spec: ExperimentSpec, realization: int) -> RealizationCounts:
     """Integer error counts for one realization.
 
-    Returns (bit_errors, symbol_errors, ok_instances, failures, seconds)
-    with the first two shaped (precoders, snrs, users). Failed instances, a
-    precoder exception or a non-finite reception, are logged once per
-    precoder and kind, with the number of symbol times that failed so, the
-    first of them and, for an exception, its first traceback.
+    Failed instances, a precoder exception or a non-finite reception, are
+    logged once per precoder and kind, with the number of symbol times that
+    failed so, the first of them and, for an exception, its first traceback.
     """
     constellation = MpskConstellation(spec.order)
     precoders = [get_precoder(pid, spec.solver) for pid in spec.precoder_ids]
@@ -188,10 +198,10 @@ def _realization_counts(spec: ExperimentSpec, realization: int):
             t,
             exc_info=exc,
         )
-    return bit_errors, symbol_errors, ok_instances, failures, seconds
+    return RealizationCounts(bit_errors, symbol_errors, ok_instances, failures, seconds)
 
 
-def _realization_worker(spec: ExperimentSpec, realization: int):
+def _realization_worker(spec: ExperimentSpec, realization: int) -> RealizationCounts:
     """_realization_counts, with an exception that escapes it (precoder
     exceptions do not: they count as failures) re-raised as an error naming
     the realization. Module level, so a process pool can pickle it."""
@@ -201,10 +211,10 @@ def _realization_worker(spec: ExperimentSpec, realization: int):
         raise RuntimeError(f"realization {realization} failed: {exc!r}") from exc
 
 
-def run_experiment(spec: ExperimentSpec) -> list:
-    """Run the Monte-Carlo sweep and return one BerRecord per
-    (precoder, SNR), in spec order."""
-    # fail fast on unknown precoder ids
+def realization_counts(spec: ExperimentSpec) -> Iterator[RealizationCounts]:
+    """Yield each realization's counts in realization order, computed by up
+    to ``spec.n_workers`` processes. Unknown precoder ids raise KeyError
+    before any realization runs."""
     for pid in spec.precoder_ids:
         get_precoder(pid, spec.solver)
 
@@ -213,11 +223,24 @@ def run_experiment(spec: ExperimentSpec) -> list:
     # more than there are realizations.
     workers = min(spec.n_workers, spec.n_realizations)
     if workers == 1:
-        merged = _merge(map(worker, range(spec.n_realizations)))
+        yield from map(worker, range(spec.n_realizations))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = _merge(pool.map(worker, range(spec.n_realizations)))
-    bit_errors, symbol_errors, ok_instances, failures, seconds = merged
+            yield from pool.map(worker, range(spec.n_realizations))
+
+
+def run_experiment(spec: ExperimentSpec) -> list:
+    """Run the Monte-Carlo sweep and return one BerRecord per
+    (precoder, SNR), in spec order: the realizations' counts merged in
+    realization order."""
+    totals = None
+    for part in realization_counts(spec):
+        if totals is None:
+            totals = [np.array(x, copy=True) for x in part]
+        else:
+            for acc, x in zip(totals, part):
+                acc += x
+    bit_errors, symbol_errors, ok_instances, failures, seconds = totals
 
     bps = MpskConstellation(spec.order).bits_per_symbol
     records = []
@@ -251,15 +274,54 @@ def run_experiment(spec: ExperimentSpec) -> list:
     return records
 
 
-def _merge(partials):
-    totals = None
-    for part in partials:
-        if totals is None:
-            totals = [np.array(x, copy=True) for x in part]
-        else:
-            for acc, x in zip(totals, part):
-                acc += x
-    return totals
+class BerDifference(NamedTuple):
+    """The paired comparison of two runs at one (precoder, SNR) point."""
+
+    precoder: str
+    snr_db: float
+    delta_ber: float
+    std_err: float
+    flagged: bool
+
+
+def compare_counts(spec: ExperimentSpec, counts_a, counts_b) -> list:
+    """The paired Monte-Carlo gate between two runs of ``spec``'s draws,
+    given each run's per-realization counts in realization order.
+
+    The runs must share every draw, so they differ only in how the
+    precoders compute; their realizations are paired. Per precoder and SNR,
+    d_r is realization r's BER in run a less its BER in run b, so
+    ``delta_ber`` is the mean of d_r (the pooled BER difference when no
+    instance failed) and ``std_err`` the spread of d_r over sqrt(R).
+    Symbol times within a realization share the channel, so this is the
+    realization-level error, not a binomial one on pooled bits. A point is
+    flagged when |delta_ber| > 3 std_err, or when either is undefined
+    because a realization has no solved instance. Returns one BerDifference
+    per (precoder, SNR), in spec order.
+    """
+    if len(counts_a) != len(counts_b) or len(counts_a) < 2:
+        raise ValueError(
+            f"need two runs of the same >= 2 realizations, got {len(counts_a)} and {len(counts_b)}"
+        )
+    bits_per_user = MpskConstellation(spec.order).bits_per_symbol * spec.n_users
+
+    def per_realization_ber(counts):
+        bit_errors = np.stack([c.bit_errors for c in counts]).sum(axis=-1)
+        bits = np.stack([c.ok_instances for c in counts]) * bits_per_user
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return bit_errors / bits[:, :, None]
+
+    diff = per_realization_ber(counts_a) - per_realization_ber(counts_b)
+    delta = diff.mean(axis=0)
+    std_err = diff.std(axis=0, ddof=1) / math.sqrt(len(diff))
+    return [
+        BerDifference(
+            pid, float(snr), float(delta[p, s]), float(std_err[p, s]),
+            not abs(delta[p, s]) <= 3.0 * std_err[p, s],
+        )
+        for p, pid in enumerate(spec.precoder_ids)
+        for s, snr in enumerate(spec.snr_db)
+    ]
 
 
 CSV_COLUMNS = (

@@ -24,7 +24,7 @@ from onebit_precoding import (
     update_v,
     write_csv,
 )
-from onebit_precoding.falm import _apg
+from onebit_precoding.falm import _apg, apg_step
 from onebit_precoding.precoding import optimal_onebit_margin
 from onebit_precoding.sep_analysis import _implication_violations
 
@@ -139,8 +139,7 @@ def test_criterion_04_gradient_matches_finite_differences():
         x1, iterations = _apg(inst, v, lam, mu, x, config)
         single_steps &= iterations == 1 and not np.array_equal(x1, x)
         box_gap = min(box_gap, inst.amplitude - np.max(np.abs(x1)))
-        apg_step = 1.0 / (inst.spectral_norm**2 / mu)  # _apg's fixed 1/L
-        grad = (x - x1) / apg_step
+        grad = (x - x1) / apg_step(inst, mu)
 
         def penalized(p):
             return smoothed_objective(inst, p, mu) + lam * (power - p @ v)

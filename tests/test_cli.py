@@ -255,6 +255,16 @@ class TestOtherCommands:
         assert "penalty trace" in out
         assert trace.read_text().startswith("outer_iter,lambda,")
 
+    def test_solve_one_counts_apg_calls_at_the_cap(self, capsys, tmp_path):
+        """The count agrees with the trace's per-step iterations."""
+        trace = tmp_path / "trace.csv"
+        assert main(["solve-one", "--seed", "0", "--trace", str(trace)]) == 0
+        cap = SolverConfig().apg_max_iters
+        rows = trace.read_text().splitlines()[1:]
+        at_cap = sum(int(row.rsplit(",", 1)[1]) == cap for row in rows)
+        assert at_cap > 0
+        assert f"apg calls at cap:  {at_cap} of 5 (cap {cap})" in capsys.readouterr().out
+
     def test_oracle_compare(self, capsys):
         code = main(
             ["oracle-compare", "--antennas", "1", "--users", "1", "--mod", "psk4",

@@ -370,6 +370,90 @@ class TestRunExperiment:
         ]
         assert "4 of 4 symbol times of realization 0" in caplog.records[0].getMessage()
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_realization_counts_in_order(self, n_workers):
+        spec = make_spec(precoder_ids=("zf-ob", "falm"), n_realizations=3, n_workers=n_workers,
+                         solver=SolverConfig(apg_max_iters=30))
+        for r, counts in enumerate(harness.realization_counts(spec)):
+            for got, expected in zip(counts[:4], harness._realization_counts(spec, r)[:4]):
+                np.testing.assert_array_equal(got, expected)
+        assert r == 2
+
+
+def hand_counts(bit_errors, ok=10):
+    """Per-realization counts of one precoder, one SNR point and one user."""
+    return [
+        harness.RealizationCounts(
+            np.array([[[e]]]), np.array([[[e]]]), np.array([ok]), np.array([0]), np.zeros(1)
+        )
+        for e in bit_errors
+    ]
+
+
+class TestCompareCounts:
+    """The paired Monte-Carlo gate: per-realization BER differences, their
+    mean and their standard error, flagged beyond 3 standard errors."""
+
+    SPEC = make_spec(n_users=1, order=4, snr_db=(10.0,), n_realizations=4)
+
+    def test_hand_built_counts(self):
+        # 20 bits per realization: BERs 0.1, 0.2, 0.3, 0.4 against 0.1 each.
+        (row,) = harness.compare_counts(self.SPEC, hand_counts([2, 4, 6, 8]), hand_counts([2] * 4))
+        d = np.array([0.0, 0.1, 0.2, 0.3])
+        assert (row.precoder, row.snr_db) == ("zf-ob", 10.0)
+        assert row.delta_ber == pytest.approx(0.15, abs=1e-15)
+        assert row.std_err == pytest.approx(np.sqrt(np.sum((d - 0.15) ** 2) / 3) / 2, abs=1e-15)
+        assert row.std_err == pytest.approx(0.0645497, abs=1e-7)
+        assert not row.flagged  # 0.15 <= 3 * 0.0645
+
+    def test_consistent_difference_is_flagged(self):
+        # Differences 0.10, 0.15, 0.10, 0.15: mean 0.125, standard error 0.0144.
+        (row,) = harness.compare_counts(self.SPEC, hand_counts([4, 5, 4, 5]), hand_counts([2] * 4))
+        assert row.delta_ber == pytest.approx(0.125, abs=1e-15)
+        assert row.std_err == pytest.approx(0.025 / np.sqrt(3), abs=1e-15)
+        assert row.flagged
+        (row,) = harness.compare_counts(self.SPEC, hand_counts([2] * 4), hand_counts([4, 5, 4, 5]))
+        assert row.delta_ber == pytest.approx(-0.125, abs=1e-15) and row.flagged
+
+    def test_realization_without_solved_instance_is_flagged(self):
+        counts = hand_counts([2] * 4)
+        counts[1] = hand_counts([0], ok=0)[0]
+        (row,) = harness.compare_counts(self.SPEC, counts, hand_counts([2] * 4))
+        assert np.isnan(row.delta_ber) and row.flagged
+
+    def test_rejects_unpaired_or_single_realizations(self):
+        for a, b in (([2] * 4, [2] * 3), ([2], [2])):
+            with pytest.raises(ValueError, match="realizations"):
+                harness.compare_counts(self.SPEC, hand_counts(a), hand_counts(b))
+
+    def test_run_against_itself(self):
+        spec = make_spec(precoder_ids=("falm", "zf-ob"), snr_db=(0.0, 10.0, 20.0),
+                         solver=SolverConfig(apg_max_iters=30))
+        counts = list(harness.realization_counts(spec))
+        rows = harness.compare_counts(spec, counts, counts)
+        assert [(r.precoder, r.snr_db) for r in rows] == [
+            (p, s) for p in spec.precoder_ids for s in spec.snr_db
+        ]
+        assert all(r.delta_ber == 0.0 and r.std_err == 0.0 and not r.flagged for r in rows)
+
+    def test_weaker_solver_is_flagged_at_desk_scale(self):
+        """FALM capped at 200 iterations per level (mean worst-user margin
+        ~0.43 against the default's ~0.53 at N=32, K=8) is flagged against
+        the default on criterion 8's shape and seed, with 20 realizations;
+        every flagged point has the weaker solver's BER higher. A 400 cap
+        at the default step reaches ~0.49 and is not flagged even at 30."""
+        spec = make_spec(
+            n_antennas=32, n_users=8, block_length=10, order=8,
+            snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0), precoder_ids=("falm",),
+            n_realizations=20, base_seed=7, n_workers=2, solver=SolverConfig(),
+        )
+        weaker = dataclasses.replace(spec, solver=SolverConfig(apg_max_iters=200))
+        rows = harness.compare_counts(
+            spec, list(harness.realization_counts(weaker)), list(harness.realization_counts(spec))
+        )
+        flagged = [r for r in rows if r.flagged]
+        assert flagged and all(r.delta_ber > 0 for r in flagged)
+
 
 class TestSpecValidation:
     def test_rejects_empty_snr(self):

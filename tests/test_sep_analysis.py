@@ -111,3 +111,18 @@ class TestVerificationSuite:
         assert len(results) > 0
         failed = [r.name for r in results if not r.passed]
         assert failed == []
+
+    def test_slack_is_read_over_positive_margin_points(self):
+        """A negative-margin point sits at the clipped bound 1 with zero
+        standard error, so its slack of 0 would mask every other point. The
+        report leaves such points out of the worst slack and counts them:
+        at seed 3 the M=8 rows read a negative slack."""
+        results = {
+            r.name: r.detail
+            for r in run_verification(seed=3, implication_draws=1000, bound_trials=50_000)
+        }
+        for name in ("error chain M=8", "union bound M=8"):
+            words = results[name].split()
+            assert words[:2] == ["worst", "slack"]
+            assert float(words[2]) < 0, results[name]
+            assert results[name].endswith("10 positive-margin points, 10 at the clipped bound")
