@@ -109,11 +109,9 @@ def _msm_entry(config):
 
 
 def _falm_entry(config):
-    solver_config = config if config is not None else SolverConfig()
-
     def precode(H, symbols, constellation, power):
         instance = build_instance(H, symbols, constellation.order, power)
-        return falm_solve(instance, solver_config).x_onebit.to_complex()
+        return falm_solve(instance, config).x_onebit.to_complex()
 
     return precode
 

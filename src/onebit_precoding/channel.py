@@ -62,16 +62,19 @@ class RngSeed:
 
 
 def _generator(seed) -> np.random.Generator:
+    # A Generator passes through, so consecutive draws can share its stream.
+    if isinstance(seed, np.random.Generator):
+        return seed
     if isinstance(seed, RngSeed):
         return seed.generator()
     return RngSeed(int(seed)).generator()
 
 
-def draw_channel(params: SystemParams, seed) -> np.ndarray:
+def draw_channel(n_users: int, n_antennas: int, seed) -> np.ndarray:
     """Draw a K x N channel with i.i.d. CN(0, 1) entries (real and imaginary
     parts independent N(0, 1/2))."""
     rng = _generator(seed)
-    shape = (params.n_users, params.n_antennas)
+    shape = (n_users, n_antennas)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 

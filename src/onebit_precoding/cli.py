@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import available_precoders, get_precoder
-from .channel import RngSeed, SystemParams, draw_channel, draw_symbols
+from .baselines import available_precoders
+from .channel import RngSeed, draw_channel, draw_symbols
 from .falm import SolverConfig, falm_solve
 from .harness import ExperimentSpec, format_snr, run_experiment, write_csv
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
@@ -94,12 +94,14 @@ def check_count(flag: str, value: int) -> None:
         raise CliError(f"--{flag} must be >= 1, got {value}")
 
 
-def check_dimensions(antennas: int, users: int) -> None:
-    """The system-size checks every subcommand shares."""
+def check_system(antennas: int, users: int, power: float) -> None:
+    """The system-size and power checks every subcommand shares."""
     check_count("antennas", antennas)
     check_count("users", users)
     if users > 2 * antennas:
         raise CliError(f"--users {users} exceeds 2 * --antennas = {2 * antennas}")
+    if not 0 < power < math.inf:  # written so that NaN fails too
+        raise CliError(f"--power must be positive and finite, got {power}")
 
 
 def read_config_file(path: str) -> dict:
@@ -125,14 +127,9 @@ def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
     snr = parse_snr(args.snr)
     precoders = tuple(p.strip() for p in args.precoders.split(",") if p.strip())
     solver = _solver_from_args(args)
-    check_dimensions(args.antennas, args.users)
+    check_system(args.antennas, args.users, args.power)
     for flag in ("block", "trials", "workers"):
         check_count(flag, getattr(args, flag))
-    for pid in precoders:
-        try:
-            get_precoder(pid, solver)
-        except KeyError as exc:
-            raise CliError(f"--precoders: {exc.args[0]}") from None
     try:
         return ExperimentSpec(
             n_antennas=args.antennas,
@@ -149,6 +146,8 @@ def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    except KeyError as exc:
+        raise CliError(f"--precoders: {exc.args[0]}") from None
 
 
 def run_header(args: argparse.Namespace) -> dict:
@@ -261,16 +260,9 @@ def _cmd_verify_sep(args) -> int:
 def _cmd_solve_one(args) -> int:
     order = parse_modulation(args.mod)
     config = _solver_from_args(args)
-    check_dimensions(args.antennas, args.users)
+    check_system(args.antennas, args.users, args.power)
     root = RngSeed(args.seed)
-    params = SystemParams(
-        n_antennas=args.antennas,
-        n_users=args.users,
-        block_length=1,
-        total_power=args.power,
-        noise_var=1.0,
-    )
-    H = draw_channel(params, root.child(0))
+    H = draw_channel(args.users, args.antennas, root.child(0))
     symbols = draw_symbols(order, args.users, root.child(1))
     instance = build_instance(H, symbols, order, args.power)
     if args.trace is None:
@@ -290,27 +282,17 @@ def _cmd_solve_one(args) -> int:
     return 0
 
 
-def _cmd_oracle_compare(args) -> int:
-    order = parse_modulation(args.mod)
-    check_dimensions(args.antennas, args.users)
-    if args.antennas > MAX_ENUMERATED_ANTENNAS:
-        raise CliError(
-            f"--antennas must be <= {MAX_ENUMERATED_ANTENNAS} for exhaustive enumeration"
-        )
-    if not 0 < args.power < math.inf:
-        raise CliError(f"--power must be positive and finite, got {args.power}")
-    check_count("seeds", args.seeds)
-    config = _solver_from_args(args)
-    hits = 0
-    exact = 0
-    negative = 0
-    for seed in range(args.seeds):
-        root = RngSeed(seed)
-        rng = root.child(0).generator()
-        shape = (args.users, args.antennas)
-        H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        symbols = rng.integers(0, order, size=args.users)
-        instance = build_instance(H, symbols, order, args.power)
+def oracle_counts(seeds, n_antennas, n_users, order, power, config=None) -> tuple:
+    """FALM against the enumerated optimum on the instance of each seed, drawn
+    from RngSeed(seed).child(0). Returns how many seeds come within the 5%
+    gap of the optimum, how many reach it, how many have a negative
+    optimum, and how many of those come within the gap. A margin above the
+    optimum raises RuntimeError."""
+    hits = exact = negative = negative_hits = 0
+    for seed in seeds:
+        rng = RngSeed(seed).child(0).generator()
+        H = draw_channel(n_users, n_antennas, rng)
+        instance = build_instance(H, draw_symbols(order, n_users, rng), order, power)
         margin = falm_solve(instance, config).margin
         optimum = optimal_onebit_margin(instance)
         if margin > optimum + 1e-9:
@@ -319,9 +301,25 @@ def _cmd_oracle_compare(args) -> int:
             )
         # Gap form of "within 5%": where the optimum is negative,
         # margin >= 0.95 * optimum cannot hold even for an exact solver.
-        hits += (optimum - margin) <= 0.05 * abs(optimum) + 1e-12
+        within = optimum - margin <= 0.05 * abs(optimum) + 1e-12
+        hits += within
         exact += abs(margin - optimum) <= 1e-9
         negative += optimum < 0
+        negative_hits += within and optimum < 0
+    return hits, exact, negative, negative_hits
+
+
+def _cmd_oracle_compare(args) -> int:
+    order = parse_modulation(args.mod)
+    check_system(args.antennas, args.users, args.power)
+    if args.antennas > MAX_ENUMERATED_ANTENNAS:
+        raise CliError(
+            f"--antennas must be <= {MAX_ENUMERATED_ANTENNAS} for exhaustive enumeration"
+        )
+    check_count("seeds", args.seeds)
+    hits, exact, negative, _ = oracle_counts(
+        range(args.seeds), args.antennas, args.users, order, args.power, _solver_from_args(args)
+    )
     print(f"solver margin within 5% of brute-force optimum: {hits}/{args.seeds} seeds")
     print(f"solver margin == brute-force optimum:           {exact}/{args.seeds} seeds")
     print(f"negative brute-force optimum:                   {negative}/{args.seeds} seeds")

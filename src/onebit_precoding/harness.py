@@ -65,6 +65,8 @@ class ExperimentSpec:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         MpskConstellation(self.order)  # order validation
+        for pid in self.precoder_ids:  # an unknown id raises KeyError
+            get_precoder(pid, self.solver)
         for snr in self.snr_db:  # dimension, power and SNR validation
             self.system_params(snr)
 
@@ -123,7 +125,7 @@ def paired_streams(base_seed: int, realization: int, t: int, params: SystemParam
     one (realization, t). Counter-based substreams keep the three draws
     independent and stable when trials are added."""
     root = RngSeed(base_seed)
-    H = draw_channel(params, root.child(CHANNEL_STREAM, realization))
+    H = draw_channel(params.n_users, params.n_antennas, root.child(CHANNEL_STREAM, realization))
     symbols = draw_symbols(order, params.n_users, root.child(SYMBOL_STREAM, realization, t))
     noise = draw_unit_noise(params.n_users, root.child(NOISE_STREAM, realization, t))
     return H, symbols, noise
@@ -213,11 +215,7 @@ def _realization_worker(spec: ExperimentSpec, realization: int) -> RealizationCo
 
 def realization_counts(spec: ExperimentSpec) -> Iterator[RealizationCounts]:
     """Yield each realization's counts in realization order, computed by up
-    to ``spec.n_workers`` processes. Unknown precoder ids raise KeyError
-    before any realization runs."""
-    for pid in spec.precoder_ids:
-        get_precoder(pid, spec.solver)
-
+    to ``spec.n_workers`` processes."""
     worker = partial(_realization_worker, spec)
     # A pool may start all its workers at the first submit, so it gets no
     # more than there are realizations.

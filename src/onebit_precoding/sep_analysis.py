@@ -21,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngSeed, _generator
+from .channel import RngSeed, _generator, draw_channel, draw_symbols
 from .constellation import MpskConstellation, sep_union_bound
-from .precoding import one_bit_amplitude, point_margin, safety_margin
+from .falm import falm_solve
+from .precoding import build_instance, point_margin
+
+SIGMA = 0.5  # noise standard deviation of the scalar bound checks
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,11 @@ def run_verification(
     seed: int = 0,
     implication_draws: int = 100_000,
     bound_trials: int = 1_000_000,
-    sigma: float = 0.5,
 ) -> list:
     """Full verification suite: per-draw implication over random inputs, the
     empirical error chain against the closed-form bound (both margin signs),
-    and the bound applied to receptions of a random one-bit precoded
-    transmission. Returns one CheckResult per check."""
+    and the bound applied to the receptions of a FALM transmission. Returns
+    one CheckResult per check."""
     base = RngSeed(seed)
     results = []
 
@@ -133,9 +135,9 @@ def run_verification(
     for order in (4, 8, 16):
         alphas, chain_gaps, bound_gaps = [], [], []
         for j, z in enumerate(points):
-            est = empirical_sep(z, sigma, order, bound_trials, base.child(2, order, j))
+            est = empirical_sep(z, SIGMA, order, bound_trials, base.child(2, order, j))
             alpha = point_margin(z, order)
-            bound = sep_union_bound(alpha, sigma, order)
+            bound = sep_union_bound(alpha, SIGMA, order)
             se_pair = np.hypot(est.std_err, est.std_err_shifted)
             alphas.append(alpha)
             chain_gaps.append(est.err_rate - est.err_rate_shifted - 3.0 * se_pair)
@@ -155,34 +157,26 @@ def run_verification(
             )
         )
 
-    results.append(_precoded_reception_check(base.child(3), bound_trials, sigma=0.3))
+    results.append(_precoded_reception_check(base.child(3), bound_trials))
     return results
 
 
-def _precoded_reception_check(seed: RngSeed, n_trials: int, sigma: float) -> CheckResult:
-    """Union bound on the per-user SEP of an actual one-bit transmission:
-    for each user the reception rotated by the intended symbol is a scalar
-    point whose margin feeds the closed-form bound."""
+def _precoded_reception_check(seed: RngSeed, n_trials: int) -> CheckResult:
+    """Union bound on the per-user SEP of a FALM transmission: for each user
+    the reception rotated by the intended symbol is a scalar point whose
+    margin feeds the closed-form bound."""
     rng = seed.generator()
-    n_antennas, n_users, order, power = 16, 4, 8, 1.0
-    H = (
-        rng.standard_normal((n_users, n_antennas))
-        + 1j * rng.standard_normal((n_users, n_antennas))
-    ) / np.sqrt(2.0)
-    symbols = rng.integers(0, order, size=n_users)
-    a = one_bit_amplitude(power, n_antennas)
-    x = a * (
-        np.where(rng.uniform(size=n_antennas) < 0.5, 1.0, -1.0)
-        + 1j * np.where(rng.uniform(size=n_antennas) < 0.5, 1.0, -1.0)
-    )
-    s = np.exp(2j * np.pi * symbols / order)
-    alphas, gaps = [], []
-    for i in range(n_users):
-        z = complex(H[i] @ x * np.conj(s[i]))
-        est = empirical_sep(z, sigma, order, n_trials, seed.child(10 + i))
-        alpha = safety_margin(H[i], x, s[i], order)
-        alphas.append(alpha)
-        gaps.append(est.err_rate - sep_union_bound(alpha, sigma, order) - 3.0 * est.std_err)
+    n_antennas, n_users, order, power, sigma = 16, 4, 8, 1.0, 0.3
+    H = draw_channel(n_users, n_antennas, rng)
+    symbols = draw_symbols(order, n_users, rng)
+    x = falm_solve(build_instance(H, symbols, order, power)).x_onebit.to_complex()
+    z = H @ x * np.exp(-2j * np.pi * symbols / order)
+    alphas = point_margin(z, order)
+    gaps = []
+    for i, alpha in enumerate(alphas):
+        est = empirical_sep(z[i], sigma, order, n_trials, seed.child(10 + i))
+        bound = sep_union_bound(alpha, sigma, order)
+        gaps.append(est.err_rate - bound - 3.0 * est.std_err)
     return CheckResult(
         name="precoded receptions",
         detail=_slack_detail(gaps, alphas, "users"),

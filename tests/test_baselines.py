@@ -12,6 +12,7 @@ from onebit_precoding import (
     MpskConstellation,
     available_precoders,
     build_instance,
+    draw_channel,
     get_precoder,
     min_margin,
     msm_precode,
@@ -23,13 +24,6 @@ from onebit_precoding import (
 )
 from onebit_precoding import baselines
 from onebit_precoding.baselines import msm_lp_problem
-
-
-def gaussian_channel(rng, n_users, n_antennas):
-    return (
-        rng.standard_normal((n_users, n_antennas))
-        + 1j * rng.standard_normal((n_users, n_antennas))
-    ) / np.sqrt(2.0)
 
 
 def solve_hermitian_by_elimination(A, b):
@@ -88,7 +82,7 @@ class TestZfPrecode:
     def test_zero_forcing_property(self):
         rng = np.random.default_rng(0)
         c = MpskConstellation(8)
-        H = gaussian_channel(rng, 4, 16)
+        H = draw_channel(4, 16, rng)
         symbols = rng.integers(0, 8, size=4)
         x = zf_precode(H, symbols, c, 1.0)
         ratios = (H @ x) / c.points[symbols]
@@ -99,7 +93,7 @@ class TestZfPrecode:
     def test_power_normalization(self):
         rng = np.random.default_rng(1)
         c = MpskConstellation(4)
-        H = gaussian_channel(rng, 4, 16)
+        H = draw_channel(4, 16, rng)
         symbols = rng.integers(0, 4, size=4)
         for power in (1.0, 2.5):
             x = zf_precode(H, symbols, c, power)
@@ -108,7 +102,7 @@ class TestZfPrecode:
     def test_against_elimination_oracle(self):
         rng = np.random.default_rng(2)
         c = MpskConstellation(8)
-        H = gaussian_channel(rng, 4, 16)
+        H = draw_channel(4, 16, rng)
         symbols = rng.integers(0, 8, size=4)
         x = zf_precode(H, symbols, c, 1.0)
         gram = H @ H.conj().T
@@ -139,7 +133,7 @@ class TestZfOnebit:
     def test_output_on_alphabet_with_total_power(self):
         rng = np.random.default_rng(3)
         c = MpskConstellation(8)
-        H = gaussian_channel(rng, 4, 16)
+        H = draw_channel(4, 16, rng)
         symbols = rng.integers(0, 8, size=4)
         x = zf_onebit(H, symbols, c, 1.0)
         a = one_bit_amplitude(1.0, 16)
@@ -150,7 +144,7 @@ class TestZfOnebit:
     def test_matches_sign_pattern_of_zf(self):
         rng = np.random.default_rng(4)
         c = MpskConstellation(8)
-        H = gaussian_channel(rng, 3, 8)
+        H = draw_channel(3, 8, rng)
         symbols = rng.integers(0, 8, size=3)
         x_zf = zf_precode(H, symbols, c, 1.0)
         x_ob = zf_onebit(H, symbols, c, 1.0)
@@ -171,7 +165,7 @@ class TestLpSolve:
     def test_msm_lp_against_vertex_enumeration(self):
         """Enumerate basic solutions of the MSM polytope and compare."""
         rng = np.random.default_rng(5)
-        H = gaussian_channel(rng, 2, 2)
+        H = draw_channel(2, 2, rng)
         symbols = rng.integers(0, 4, size=2)
         instance = build_instance(H, symbols, 4, 1.0)
         problem = msm_lp_problem(instance)
@@ -206,7 +200,7 @@ class TestLpSolve:
 class TestMsmPrecode:
     def test_single_user_bpsk_matches_enumeration(self):
         rng = np.random.default_rng(6)
-        H = gaussian_channel(rng, 1, 1)
+        H = draw_channel(1, 1, rng)
         instance = build_instance(H, np.array([0]), 2, 1.0)
         report = msm_precode(instance)
         a = instance.amplitude
@@ -219,7 +213,7 @@ class TestMsmPrecode:
     def test_relaxed_optimum_dominates_every_one_bit_point(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            H = gaussian_channel(rng, 2, 2)
+            H = draw_channel(2, 2, rng)
             symbols = rng.integers(0, 4, size=2)
             instance = build_instance(H, symbols, 4, 1.0)
             report = msm_precode(instance)
@@ -233,14 +227,14 @@ class TestMsmPrecode:
         # x = 0 is always feasible with margin 0
         rng = np.random.default_rng(8)
         for _ in range(10):
-            H = gaussian_channel(rng, 3, 4)
+            H = draw_channel(3, 4, rng)
             symbols = rng.integers(0, 8, size=3)
             report = msm_precode(build_instance(H, symbols, 8, 1.0))
             assert report.relaxed_optimum >= -1e-9
 
     def test_reported_margin_matches_vector(self):
         rng = np.random.default_rng(9)
-        H = gaussian_channel(rng, 3, 6)
+        H = draw_channel(3, 6, rng)
         symbols = rng.integers(0, 8, size=3)
         instance = build_instance(H, symbols, 8, 1.0)
         report = msm_precode(instance)
@@ -261,7 +255,7 @@ class TestMsmPrecode:
         and the optimum agrees to rounding."""
         rng = np.random.default_rng(11)
         for _ in range(count):
-            H = gaussian_channel(rng, n_users, n_antennas)
+            H = draw_channel(n_users, n_antennas, rng)
             instance = build_instance(H, rng.integers(0, 8, size=n_users), 8, 1.0)
             reference = presolved_linprog(instance)
             assert reference.status == 0
@@ -284,7 +278,7 @@ class TestRegistry:
     def test_outputs_lie_on_alphabet(self):
         rng = np.random.default_rng(10)
         c = MpskConstellation(8)
-        H = gaussian_channel(rng, 3, 8)
+        H = draw_channel(3, 8, rng)
         symbols = rng.integers(0, 8, size=3)
         a = one_bit_amplitude(1.0, 8)
         for pid in ("zf-ob", "msm", "falm"):

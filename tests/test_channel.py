@@ -53,16 +53,14 @@ class TestRngSeed:
 
 class TestDrawChannel:
     def test_deterministic(self):
-        params = make_params()
-        h1 = draw_channel(params, RngSeed(5, (0,)))
-        h2 = draw_channel(params, RngSeed(5, (0,)))
+        h1 = draw_channel(50, 100, RngSeed(5, (0,)))
+        h2 = draw_channel(50, 100, RngSeed(5, (0,)))
         np.testing.assert_array_equal(h1, h2)
 
     def test_unit_variance_and_zero_mean(self):
         # 100*50 entries x 200 draws = 1e6 samples
-        params = make_params()
         entries = np.concatenate(
-            [draw_channel(params, RngSeed(0, (k,))).ravel() for k in range(200)]
+            [draw_channel(50, 100, RngSeed(0, (k,))).ravel() for k in range(200)]
         )
         assert entries.size == 1_000_000
         assert abs(entries.mean()) < 0.005
@@ -72,8 +70,18 @@ class TestDrawChannel:
         assert abs(np.var(entries.imag) - 0.5) < 0.01
 
     def test_shape(self):
-        params = make_params(n_antennas=16, n_users=3)
-        assert draw_channel(params, 1).shape == (3, 16)
+        assert draw_channel(3, 16, 1).shape == (3, 16)
+
+    def test_channel_then_symbols_on_one_generator(self):
+        """A Generator passes through, so the channel and then the symbols
+        come from one stream exactly as the hand-written draw took them."""
+        rng = RngSeed(4).child(0).generator()
+        H = draw_channel(3, 5, rng)
+        symbols = draw_symbols(8, 3, rng)
+        ref = RngSeed(4).child(0).generator()
+        H_ref = (ref.standard_normal((3, 5)) + 1j * ref.standard_normal((3, 5))) / np.sqrt(2.0)
+        np.testing.assert_array_equal(H, H_ref)
+        np.testing.assert_array_equal(symbols, ref.integers(0, 8, size=3))
 
 
 class TestDrawNoise:

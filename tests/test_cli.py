@@ -307,6 +307,8 @@ class TestOtherCommands:
             ("verify-sep", ["--implication-draws", "0"], "--implication-draws"),
             ("verify-sep", ["--implication-draws", "-3"], "--implication-draws"),
             ("verify-sep", ["--bound-trials", "0"], "--bound-trials"),
+            ("solve-one", ["--power", "0"], "--power"),
+            ("run", ["--power", "nan"], "--power"),
         ],
     )
     def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):

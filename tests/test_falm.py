@@ -12,6 +12,8 @@ from onebit_precoding import (
     SolverConfig,
     SolverFailure,
     build_instance,
+    draw_channel,
+    draw_symbols,
     falm_solve,
     min_margin,
     smoothed_objective,
@@ -35,11 +37,8 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     the plain step of a restart is rejected too.
     """
     a = instance.amplitude
-    n2 = 2 * instance.n_antennas
     m = 2 * instance.n_users
-    tol = config.apg_tolerance
-    if tol is None:
-        tol = 1e-6 * np.sqrt(n2) * a
+    tol = falm.apg_tolerance(instance)
     # The products' rounding depends on the layout: column-major, as in the loop.
     forward = np.asfortranarray(np.vstack([instance.forms / mu, v]))
     transposed = np.asfortranarray(np.vstack([instance.forms, v]).T)
@@ -111,12 +110,8 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
 
 
 def random_instance(rng, n_users=4, n_antennas=3, order=8, power=1.0):
-    H = (
-        rng.standard_normal((n_users, n_antennas))
-        + 1j * rng.standard_normal((n_users, n_antennas))
-    ) / np.sqrt(2.0)
-    symbols = rng.integers(0, order, size=n_users)
-    return build_instance(H, symbols, order, power)
+    H = draw_channel(n_users, n_antennas, rng)
+    return build_instance(H, draw_symbols(order, n_users, rng), order, power)
 
 
 def true_max(instance, x_real):
@@ -265,12 +260,13 @@ class TestApg:
             f1 = _penalized_value(inst, x, 0.01, lam, v)
             assert f1 <= f0 + 1e-12
 
-    def test_matches_grid_search_oracle(self):
+    def test_matches_grid_search_oracle(self, monkeypatch):
         rng = np.random.default_rng(11)
         inst = random_instance(rng, n_users=3, n_antennas=2, order=4)
         mu, lam = 0.05, 0.5
         v = update_v(rng.uniform(-0.4, 0.4, size=4), 1.0)
-        config = SolverConfig(apg_max_iters=20000, apg_tolerance=1e-10)
+        config = SolverConfig(apg_max_iters=20000)
+        monkeypatch.setattr(falm, "apg_tolerance", lambda instance: 1e-10)
         x = falm._apg(inst, v, lam, mu, np.zeros(4), config)[0]
 
         def batch_objective(points):
@@ -481,13 +477,15 @@ class TestApgMatchesReference:
     def test_loose_tolerance(self, monkeypatch):
         """At a loose tolerance the probe rail often leaves the decision to
         the full test, which fires partway through calls; on the other
-        iterations the probe decides alone."""
+        iterations the probe decides alone. solve_both undoes every patch,
+        so each instance sets the tolerance again."""
         rng = np.random.default_rng(24)
-        config = SolverConfig(apg_tolerance=1e-3)
+        config = SolverConfig()
         full_tests = probe_only = 0
         for _ in range(6):
             inst = random_instance(rng, n_users=4, n_antennas=8, order=8)
             counter = FullTestCounter()
+            monkeypatch.setattr(falm, "apg_tolerance", lambda instance: 1e-3)
             monkeypatch.setattr(falm, "np", counter)
             exits = []
             lean, reference = solve_both(monkeypatch, inst, config, exits=exits)
@@ -661,8 +659,6 @@ class TestSolverConfig:
             {"delta": 1.0},
             {"lambda_max": 0.001},
             {"apg_max_iters": 0},
-            {"apg_tolerance": 0.0},
-            {"apg_tolerance": -1e-3},
         ],
     )
     def test_rejects_bad_values(self, kw):

@@ -11,6 +11,8 @@ from onebit_precoding import (
     OneBitVector,
     PrecodingInstance,
     build_instance,
+    draw_channel,
+    draw_symbols,
     min_margin,
     one_bit_amplitude,
     point_margin,
@@ -27,11 +29,8 @@ from onebit_precoding.precoding import (
 
 
 def random_instance(rng, n_users=3, n_antennas=4, order=8, power=1.0):
-    H = (
-        rng.standard_normal((n_users, n_antennas))
-        + 1j * rng.standard_normal((n_users, n_antennas))
-    ) / np.sqrt(2.0)
-    symbols = rng.integers(0, order, size=n_users)
+    H = draw_channel(n_users, n_antennas, rng)
+    symbols = draw_symbols(order, n_users, rng)
     return H, symbols, build_instance(H, symbols, order, power)
 
 

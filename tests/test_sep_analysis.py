@@ -126,3 +126,17 @@ class TestVerificationSuite:
             assert words[:2] == ["worst", "slack"]
             assert float(words[2]) < 0, results[name]
             assert results[name].endswith("10 positive-margin points, 10 at the clipped bound")
+
+    def test_precoded_receptions_are_falm_output(self):
+        """The row checks the bound on a FALM transmission, whose users all
+        have a positive margin at seed 3, so no user sits at the clipped
+        bound and the worst slack is read."""
+        results = {
+            r.name: r
+            for r in run_verification(seed=3, implication_draws=1000, bound_trials=50_000)
+        }
+        row = results["precoded receptions"]
+        words = row.detail.split()
+        assert row.passed
+        assert float(words[2]) < 0, row.detail
+        assert row.detail.endswith("4 positive-margin users, 0 at the clipped bound")
