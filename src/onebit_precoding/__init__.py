@@ -38,7 +38,6 @@ from .precoding import (
     one_bit_amplitude,
     point_margin,
     quantize_one_bit,
-    safety_margin,
     to_complex,
     to_real,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "q_function",
     "quantize_one_bit",
     "run_experiment",
-    "safety_margin",
     "sep_union_bound",
     "smoothed_objective",
     "to_complex",

@@ -100,27 +100,23 @@ def msm_precode(instance: PrecodingInstance) -> MsmReport:
 Precoder = Callable[[np.ndarray, np.ndarray, MpskConstellation, float], np.ndarray]
 
 
-def _msm_entry(config):
+def _one_bit_entry(solve):
+    """The precoder that builds each instance and returns the one-bit vector
+    of ``solve(instance)``'s report."""
+
     def precode(H, symbols, constellation, power):
         instance = build_instance(H, symbols, constellation.order, power)
-        return msm_precode(instance).x_onebit.to_complex()
+        return solve(instance).x_onebit.to_complex()
 
     return precode
 
 
-def _falm_entry(config):
-    def precode(H, symbols, constellation, power):
-        instance = build_instance(H, symbols, constellation.order, power)
-        return falm_solve(instance, config).x_onebit.to_complex()
-
-    return precode
-
-
+# Names are looked up per call, so a patch of build_instance or a solver reaches it.
 _REGISTRY = {
     "zf": lambda config: zf_precode,
     "zf-ob": lambda config: zf_onebit,
-    "msm": _msm_entry,
-    "falm": _falm_entry,
+    "msm": lambda config: _one_bit_entry(msm_precode),
+    "falm": lambda config: _one_bit_entry(lambda instance: falm_solve(instance, config)),
 }
 
 

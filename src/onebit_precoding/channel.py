@@ -17,12 +17,11 @@ NOISE_STREAM = 2
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Downlink dimensions and powers: N antennas, K users, block length T,
-    total transmit power P, and noise variance sigma^2."""
+    """Downlink dimensions and powers: N antennas, K users, total transmit
+    power P, and noise variance sigma^2."""
 
     n_antennas: int
     n_users: int
-    block_length: int
     total_power: float
     noise_var: float
 
@@ -31,8 +30,6 @@ class SystemParams:
             raise ValueError(f"n_antennas must be positive, got {self.n_antennas}")
         if self.n_users < 1:
             raise ValueError(f"n_users must be positive, got {self.n_users}")
-        if self.block_length < 1:
-            raise ValueError(f"block_length must be positive, got {self.block_length}")
         # Written so that NaN fails too.
         if not 0 < self.total_power < math.inf:
             raise ValueError(f"total_power must be finite and positive, got {self.total_power}")

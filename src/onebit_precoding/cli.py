@@ -94,16 +94,6 @@ def check_count(flag: str, value: int) -> None:
         raise CliError(f"--{flag} must be >= 1, got {value}")
 
 
-def check_system(antennas: int, users: int, power: float) -> None:
-    """The system-size and power checks every subcommand shares."""
-    check_count("antennas", antennas)
-    check_count("users", users)
-    if users > 2 * antennas:
-        raise CliError(f"--users {users} exceeds 2 * --antennas = {2 * antennas}")
-    if not 0 < power < math.inf:  # written so that NaN fails too
-        raise CliError(f"--power must be positive and finite, got {power}")
-
-
 def read_config_file(path: str) -> dict:
     """key = value lines; '#' markers stripped; anything else ignored."""
     values = {}
@@ -123,11 +113,9 @@ def read_config_file(path: str) -> dict:
 
 
 def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
-    order = parse_modulation(args.mod)
+    order, solver = _system_from_args(args)
     snr = parse_snr(args.snr)
     precoders = tuple(p.strip() for p in args.precoders.split(",") if p.strip())
-    solver = _solver_from_args(args)
-    check_system(args.antennas, args.users, args.power)
     for flag in ("block", "trials", "workers"):
         check_count(flag, getattr(args, flag))
     try:
@@ -158,19 +146,34 @@ def run_header(args: argparse.Namespace) -> dict:
     return header
 
 
-def _add_solver_flags(parser):
+def _add_system_flags(parser, antennas: int, users: int, mod: str) -> None:
+    """The system and solver flags of run, solve-one and oracle-compare."""
+    parser.add_argument("--antennas", type=int, default=antennas, help="transmit antennas N")
+    parser.add_argument("--users", type=int, default=users, help="single-antenna users K")
+    parser.add_argument("--power", type=float, default=1.0, help="total transmit power P")
+    parser.add_argument("--mod", type=str, default=mod, help="modulation, e.g. psk4, psk8, psk16")
     defaults = SolverConfig()
     for flag, text in SOLVER_FLAGS.items():
         default = getattr(defaults, flag.replace("-", "_"))
         parser.add_argument(f"--{flag}", type=type(default), default=default, help=text)
 
 
-def _solver_from_args(args) -> SolverConfig:
+def _system_from_args(args) -> tuple:
+    """(order, SolverConfig) from the system flags, after the modulation,
+    solver, size and power checks every subcommand shares."""
+    order = parse_modulation(args.mod)
     fields = [flag.replace("-", "_") for flag in SOLVER_FLAGS]
     try:
-        return SolverConfig(**{name: getattr(args, name) for name in fields})
+        config = SolverConfig(**{name: getattr(args, name) for name in fields})
     except ValueError as exc:
         raise CliError(f"invalid solver parameter: {exc}") from None
+    check_count("antennas", args.antennas)
+    check_count("users", args.users)
+    if args.users > 2 * args.antennas:
+        raise CliError(f"--users {args.users} exceeds 2 * --antennas = {2 * args.antennas}")
+    if not 0 < args.power < math.inf:  # written so that NaN fails too
+        raise CliError(f"--power must be positive and finite, got {args.power}")
+    return order, config
 
 
 def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
@@ -189,11 +192,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         help="Monte-Carlo BER sweep to CSV",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    run.add_argument("--antennas", type=int, default=32, help="transmit antennas N")
-    run.add_argument("--users", type=int, default=8, help="single-antenna users K")
+    _add_system_flags(run, antennas=32, users=8, mod="psk8")
     run.add_argument("--block", type=int, default=100, help="symbol times per channel realization")
-    run.add_argument("--power", type=float, default=1.0, help="total transmit power P")
-    run.add_argument("--mod", type=str, default="psk8", help="modulation, e.g. psk4, psk8, psk16")
     run.add_argument("--snr", type=str, default="0:5:25", help="P/sigma^2 in dB: 'start:step:stop' or comma list")
     run.add_argument("--trials", type=int, default=100, help="channel realizations")
     run.add_argument("--precoders", type=str, default="falm,msm,zf-ob,zf", help=f"comma list from {available_precoders()}")
@@ -202,7 +202,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
                      help=f"worker processes; ${WORKERS_ENV} sets the default")
     run.add_argument("--config", type=str, default=None, help="key = value file; flags override")
     run.add_argument("--out", type=str, required=True, help="output CSV path")
-    _add_solver_flags(run)
     if config:
         run.set_defaults(**{k.replace("-", "_"): v for k, v in config.items() if k in RUN_KEYS})
 
@@ -212,21 +211,13 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     verify.add_argument("--bound-trials", type=int, default=1_000_000)
 
     solve = sub.add_parser("solve-one", help="solve one random instance")
-    solve.add_argument("--antennas", type=int, default=32)
-    solve.add_argument("--users", type=int, default=8)
-    solve.add_argument("--mod", type=str, default="psk8")
-    solve.add_argument("--power", type=float, default=1.0)
+    _add_system_flags(solve, antennas=32, users=8, mod="psk8")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--trace", type=str, default=None, help="per-iteration trace CSV")
-    _add_solver_flags(solve)
 
     oracle = sub.add_parser("oracle-compare", help="solver vs brute force on tiny instances")
-    oracle.add_argument("--antennas", type=int, default=2)
-    oracle.add_argument("--users", type=int, default=2)
-    oracle.add_argument("--mod", type=str, default="psk4")
-    oracle.add_argument("--power", type=float, default=1.0)
+    _add_system_flags(oracle, antennas=2, users=2, mod="psk4")
     oracle.add_argument("--seeds", type=int, default=100)
-    _add_solver_flags(oracle)
 
     return parser
 
@@ -258,9 +249,7 @@ def _cmd_verify_sep(args) -> int:
 
 
 def _cmd_solve_one(args) -> int:
-    order = parse_modulation(args.mod)
-    config = _solver_from_args(args)
-    check_system(args.antennas, args.users, args.power)
+    order, config = _system_from_args(args)
     root = RngSeed(args.seed)
     H = draw_channel(args.users, args.antennas, root.child(0))
     symbols = draw_symbols(order, args.users, root.child(1))
@@ -310,15 +299,14 @@ def oracle_counts(seeds, n_antennas, n_users, order, power, config=None) -> tupl
 
 
 def _cmd_oracle_compare(args) -> int:
-    order = parse_modulation(args.mod)
-    check_system(args.antennas, args.users, args.power)
+    order, config = _system_from_args(args)
     if args.antennas > MAX_ENUMERATED_ANTENNAS:
         raise CliError(
             f"--antennas must be <= {MAX_ENUMERATED_ANTENNAS} for exhaustive enumeration"
         )
     check_count("seeds", args.seeds)
     hits, exact, negative, _ = oracle_counts(
-        range(args.seeds), args.antennas, args.users, order, args.power, _solver_from_args(args)
+        range(args.seeds), args.antennas, args.users, order, args.power, config
     )
     print(f"solver margin within 5% of brute-force optimum: {hits}/{args.seeds} seeds")
     print(f"solver margin == brute-force optimum:           {exact}/{args.seeds} seeds")

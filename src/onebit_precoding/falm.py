@@ -180,9 +180,8 @@ def _apg(instance, v, lam, mu, x_init, config):
     A call ends at the tolerance, at the cap, or when it stalls: the plain
     step of a restart is rejected too. The step is fixed, so a stall
     leaves (x, y = x, t = 1), from which every later iteration would
-    recompute the same rejected step; x is final. A step rejected from
-    y = x is that plain step already, so it stalls without recomputing it.
-    A non-finite value at any point raises SolverFailure.
+    recompute the same rejected step; x is final. A non-finite value at
+    any point raises SolverFailure.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
@@ -279,9 +278,7 @@ def _apg(instance, v, lam, mu, x_init, config):
             continue
 
         # Restart from x with a plain projected-gradient step; stall if it
-        # is rejected too. From y = x that step is the one just rejected.
-        if y is x:
-            break
+        # is rejected too.
         sum_z, value_z = descend(x, sum_x)
         if not value_z <= value_x:
             break

@@ -58,6 +58,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if len(self.snr_db) == 0:
             raise ValueError("snr_db must be non-empty")
+        if self.block_length < 1:
+            raise ValueError("block_length must be >= 1")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if len(self.precoder_ids) == 0:
@@ -90,7 +92,6 @@ class ExperimentSpec:
         return SystemParams(
             n_antennas=self.n_antennas,
             n_users=self.n_users,
-            block_length=self.block_length,
             total_power=self.total_power,
             noise_var=noise_var,
         )
@@ -227,6 +228,20 @@ def realization_counts(spec: ExperimentSpec) -> Iterator[RealizationCounts]:
             yield from pool.map(worker, range(spec.n_realizations))
 
 
+def error_rates(spec: ExperimentSpec, bit_errors, symbol_errors, ok_instances) -> tuple:
+    """(ber, ser, worst_user_ber) from error counts shaped (..., precoders,
+    snrs, users) and the symbol times solved, shaped (..., precoders): the
+    errors over the bits or symbols of the solved symbol times, ber and ser
+    pooled over users, and NaN where none were solved."""
+    bps = MpskConstellation(spec.order).bits_per_symbol
+    solved = np.asarray(ok_instances)[..., None]  # broadcast over the snrs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ber = bit_errors.sum(axis=-1) / (solved * spec.n_users * bps)
+        ser = symbol_errors.sum(axis=-1) / (solved * spec.n_users)
+        worst = bit_errors.max(axis=-1) / (solved * bps)
+    return ber, ser, worst
+
+
 def run_experiment(spec: ExperimentSpec) -> list:
     """Run the Monte-Carlo sweep and return one BerRecord per
     (precoder, SNR), in spec order: the realizations' counts merged in
@@ -239,37 +254,24 @@ def run_experiment(spec: ExperimentSpec) -> list:
             for acc, x in zip(totals, part):
                 acc += x
     bit_errors, symbol_errors, ok_instances, failures, seconds = totals
-
+    ber, ser, worst = error_rates(spec, bit_errors, symbol_errors, ok_instances)
     bps = MpskConstellation(spec.order).bits_per_symbol
-    records = []
-    for p, pid in enumerate(spec.precoder_ids):
-        symbols_per_user = int(ok_instances[p])
-        for s, snr in enumerate(spec.snr_db):
-            n_symbols = symbols_per_user * spec.n_users
-            n_bits = n_symbols * bps
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ber = float(bit_errors[p, s].sum() / n_bits) if n_bits else float("nan")
-                ser = float(symbol_errors[p, s].sum() / n_symbols) if n_symbols else float("nan")
-                worst = (
-                    float(bit_errors[p, s].max() / (symbols_per_user * bps))
-                    if symbols_per_user
-                    else float("nan")
-                )
-            records.append(
-                BerRecord(
-                    precoder=pid,
-                    snr_db=float(snr),
-                    ber=ber,
-                    ser=ser,
-                    worst_user_ber=worst,
-                    bit_count=n_bits,
-                    symbol_count=n_symbols,
-                    realization_count=spec.n_realizations,
-                    failures=int(failures[p]),
-                    wall_time_s=float(seconds[p]),
-                )
-            )
-    return records
+    return [
+        BerRecord(
+            precoder=pid,
+            snr_db=float(snr),
+            ber=float(ber[p, s]),
+            ser=float(ser[p, s]),
+            worst_user_ber=float(worst[p, s]),
+            bit_count=int(ok_instances[p]) * spec.n_users * bps,
+            symbol_count=int(ok_instances[p]) * spec.n_users,
+            realization_count=spec.n_realizations,
+            failures=int(failures[p]),
+            wall_time_s=float(seconds[p]),
+        )
+        for p, pid in enumerate(spec.precoder_ids)
+        for s, snr in enumerate(spec.snr_db)
+    ]
 
 
 class BerDifference(NamedTuple):
@@ -301,13 +303,10 @@ def compare_counts(spec: ExperimentSpec, counts_a, counts_b) -> list:
         raise ValueError(
             f"need two runs of the same >= 2 realizations, got {len(counts_a)} and {len(counts_b)}"
         )
-    bits_per_user = MpskConstellation(spec.order).bits_per_symbol * spec.n_users
 
     def per_realization_ber(counts):
-        bit_errors = np.stack([c.bit_errors for c in counts]).sum(axis=-1)
-        bits = np.stack([c.ok_instances for c in counts]) * bits_per_user
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return bit_errors / bits[:, :, None]
+        stacked = [np.stack(field) for field in zip(*counts)]
+        return error_rates(spec, *stacked[:3])[0]
 
     diff = per_realization_ber(counts_a) - per_realization_ber(counts_b)
     delta = diff.mean(axis=0)

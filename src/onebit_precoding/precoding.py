@@ -54,15 +54,11 @@ def to_complex(x_real: np.ndarray) -> np.ndarray:
     return x_real[:n] + 1j * x_real[n:]
 
 
-def sign_ties_positive(v: np.ndarray) -> np.ndarray:
-    """Componentwise sign with sign(0) = +1."""
-    return np.where(np.asarray(v) >= 0, 1.0, -1.0)
-
-
 def quantize_one_bit(x_real: np.ndarray, power: float) -> np.ndarray:
-    """Snap a real 2N-vector onto the one-bit alphabet {+/- sqrt(P/2N)}^2N."""
+    """Snap a real 2N-vector onto the one-bit alphabet {+/- sqrt(P/2N)}^2N, ties to +."""
     x_real = np.asarray(x_real, dtype=float)
-    return one_bit_amplitude(power, x_real.shape[0] // 2) * sign_ties_positive(x_real)
+    a = one_bit_amplitude(power, x_real.shape[0] // 2)
+    return np.where(x_real >= 0, a, -a)
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,6 @@ class OneBitVector:
 
     def to_complex(self) -> np.ndarray:
         return to_complex(self.x_real)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.x_real.shape[0] // 2
 
 
 @dataclass(frozen=True)
@@ -151,12 +143,6 @@ def point_margin(z, order: int):
     against the symbol 1; elementwise on arrays."""
     z = np.asarray(z)
     return z.real - np.abs(z.imag) * cot_half_sector(order)
-
-
-def safety_margin(h: np.ndarray, x: np.ndarray, symbol: complex, order: int) -> float:
-    """Safety margin of one user, evaluated in complex arithmetic on its
-    reception rotated by the conjugate of its intended symbol."""
-    return float(point_margin(np.asarray(h) @ np.asarray(x) * np.conj(symbol), order))
 
 
 def min_margin(instance: PrecodingInstance, x_real: np.ndarray) -> float:

@@ -39,7 +39,6 @@ class SepEstimate:
     err_rate_shifted: float
     std_err: float
     std_err_shifted: float
-    n_trials: int
 
 
 def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, seed) -> SepEstimate:
@@ -73,7 +72,6 @@ def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, seed) -> 
         err_rate_shifted=p_s,
         std_err=se,
         std_err_shifted=se_s,
-        n_trials=n_trials,
     )
 
 

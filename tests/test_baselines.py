@@ -24,6 +24,7 @@ from onebit_precoding import (
 )
 from onebit_precoding import baselines
 from onebit_precoding.baselines import msm_lp_problem
+from onebit_precoding.precoding import optimal_onebit_margin
 
 
 def solve_hermitian_by_elimination(A, b):
@@ -203,12 +204,7 @@ class TestMsmPrecode:
         H = draw_channel(1, 1, rng)
         instance = build_instance(H, np.array([0]), 2, 1.0)
         report = msm_precode(instance)
-        a = instance.amplitude
-        best = max(
-            min_margin(instance, a * np.array(signs))
-            for signs in itertools.product((-1.0, 1.0), repeat=2)
-        )
-        assert report.margin == pytest.approx(best, abs=1e-9)
+        assert report.margin == pytest.approx(optimal_onebit_margin(instance), abs=1e-9)
 
     def test_relaxed_optimum_dominates_every_one_bit_point(self):
         rng = np.random.default_rng(7)
@@ -217,11 +213,8 @@ class TestMsmPrecode:
             symbols = rng.integers(0, 4, size=2)
             instance = build_instance(H, symbols, 4, 1.0)
             report = msm_precode(instance)
-            a = instance.amplitude
-            for signs in itertools.product((-1.0, 1.0), repeat=4):
-                assert report.relaxed_optimum >= min_margin(
-                    instance, a * np.array(signs)
-                ) - 1e-9
+            # optimal_onebit_margin is the best over every one-bit point.
+            assert report.relaxed_optimum >= optimal_onebit_margin(instance) - 1e-9
 
     def test_relaxed_optimum_nonnegative(self):
         # x = 0 is always feasible with margin 0

@@ -9,7 +9,7 @@ from onebit_precoding.channel import draw_unit_noise
 
 def make_params(**overrides):
     base = dict(
-        n_antennas=100, n_users=50, block_length=4, total_power=1.0, noise_var=1.0
+        n_antennas=100, n_users=50, total_power=1.0, noise_var=1.0
     )
     base.update(overrides)
     return SystemParams(**base)
@@ -21,7 +21,6 @@ class TestSystemParams:
         [
             ("n_antennas", 0),
             ("n_users", 0),
-            ("block_length", 0),
             ("total_power", 0.0),
             ("noise_var", -1.0),
             ("total_power", np.nan),

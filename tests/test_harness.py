@@ -380,6 +380,43 @@ class TestRunExperiment:
         assert r == 2
 
 
+class TestErrorRates:
+    """Rates from hand-built counts shaped (precoders, snrs, users): 2 users,
+    QPSK (2 bits per symbol) and two SNR points. In realization a the
+    second precoder solved no symbol time, in b the first."""
+
+    SPEC = make_spec(n_users=2, order=4, precoder_ids=("zf-ob", "zf"))
+    A = (np.array([[[3, 1], [0, 2]], [[0, 0], [0, 0]]]),
+         np.array([[[2, 1], [0, 1]], [[0, 0], [0, 0]]]),
+         np.array([5, 0]))
+    B = (np.array([[[0, 0], [0, 0]], [[1, 0], [2, 2]]]),
+         np.array([[[0, 0], [0, 0]], [[1, 0], [1, 2]]]),
+         np.array([0, 4]))
+
+    def test_pooled_counts(self):
+        ber, ser, worst = harness.error_rates(self.SPEC, *self.A)
+        # 5 solved symbol times: 10 symbols and 20 bits, 10 bits per user.
+        np.testing.assert_array_equal(ber[0], [4 / 20, 2 / 20])
+        np.testing.assert_array_equal(ser[0], [3 / 10, 1 / 10])
+        np.testing.assert_array_equal(worst[0], [3 / 10, 2 / 10])
+        for rate in (ber, ser, worst):
+            assert rate.shape == (2, 2) and np.isnan(rate[1]).all()
+
+    def test_stacked_counts(self):
+        """A leading realization axis gives each realization its own rates."""
+        stacked = [np.stack(field) for field in zip(self.A, self.B)]
+        rates = harness.error_rates(self.SPEC, *stacked)
+        for r, counts in enumerate((self.A, self.B)):
+            for got, alone in zip(rates, harness.error_rates(self.SPEC, *counts)):
+                np.testing.assert_array_equal(got[r], alone)
+        ber, ser, worst = (rate[1, 1] for rate in rates)
+        # 4 solved symbol times: 8 symbols and 16 bits, 8 bits per user.
+        np.testing.assert_array_equal(ber, [1 / 16, 4 / 16])
+        np.testing.assert_array_equal(ser, [1 / 8, 3 / 8])
+        np.testing.assert_array_equal(worst, [1 / 8, 2 / 8])
+        assert all(np.isnan(rate[1, 0]).all() for rate in rates)
+
+
 def hand_counts(bit_errors, ok=10):
     """Per-realization counts of one precoder, one SNR point and one user."""
     return [
@@ -463,6 +500,10 @@ class TestSpecValidation:
     def test_rejects_zero_realizations(self):
         with pytest.raises(ValueError):
             make_spec(n_realizations=0)
+
+    def test_rejects_zero_block_length(self):
+        with pytest.raises(ValueError, match="block_length"):
+            make_spec(block_length=0)
 
     def test_rejects_empty_precoders(self):
         with pytest.raises(ValueError):

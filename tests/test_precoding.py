@@ -17,21 +17,23 @@ from onebit_precoding import (
     one_bit_amplitude,
     point_margin,
     quantize_one_bit,
-    safety_margin,
     to_complex,
     to_real,
 )
-from onebit_precoding.precoding import (
-    cot_half_sector,
-    optimal_onebit_margin,
-    sign_ties_positive,
-)
+from onebit_precoding.precoding import cot_half_sector, optimal_onebit_margin
 
 
 def random_instance(rng, n_users=3, n_antennas=4, order=8, power=1.0):
     H = draw_channel(n_users, n_antennas, rng)
     symbols = draw_symbols(order, n_users, rng)
     return H, symbols, build_instance(H, symbols, order, power)
+
+
+def user_margin(h, x, symbol: int, order: int) -> float:
+    """Safety margin of one user with channel row h and symbol index
+    ``symbol``, from the margin forms of a one-user instance."""
+    instance = build_instance(np.array([h]), np.array([symbol]), order, 1.0)
+    return min_margin(instance, to_real(x))
 
 
 class TestCot:
@@ -78,7 +80,7 @@ class TestBuildInstance:
             s = np.exp(2j * np.pi * symbols / 8)
             u, w = inst.forms[:3], inst.forms[3:]
             for i in range(3):
-                alpha = safety_margin(H[i], x, s[i], 8)
+                alpha = point_margin(H[i] @ x * np.conj(s[i]), 8)
                 pair_max = max(u[i] @ x_real, w[i] @ x_real)
                 assert pair_max == pytest.approx(-alpha, abs=1e-12)
 
@@ -99,35 +101,33 @@ class TestBuildInstance:
 
 
 class TestSafetyMargin:
+    """One user's margin, the worst-user margin of a one-user instance."""
+
     def test_real_axis_point(self):
         # h^T x s* = 1: margin 1 regardless of the rotation weight
-        assert safety_margin(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 1.0, 8) == 1.0
+        assert user_margin([1.0 + 0j], [1.0 + 0j], 0, 8) == 1.0
 
     def test_qpsk_unit_rotation_weight(self):
-        h = np.array([1.0 + 0j])
-        x = np.array([1.0 + 0.5j])
-        assert safety_margin(h, x, 1.0, 4) == pytest.approx(0.5, abs=1e-12)
+        assert user_margin([1.0 + 0j], [1.0 + 0.5j], 0, 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_uses_plain_transpose_not_conjugate(self):
-        # y = h^T x with h = j, x = 1: rotated back by s = j this is 1, so the
-        # margin is 1. A conjugating model (h^H x = -j) would give -1.
-        assert safety_margin(np.array([1j]), np.array([1.0 + 0j]), 1j, 4) == 1.0
+        # y = h^T x with h = j, x = 1: rotated back by s = j (QPSK index 1)
+        # this is 1, so the margin is 1. A conjugating model (h^H x = -j)
+        # would give -1.
+        assert user_margin([1j], [1.0 + 0j], 1, 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_margin_oracle(self):
-        h = np.array([1.0 + 0j])
-        x = np.array([0.2 + 0.9j])
         expected = 0.2 - 0.9 * (1.0 + np.sqrt(2.0))
-        assert safety_margin(h, x, 1.0, 8) == pytest.approx(expected, abs=1e-12)
+        assert user_margin([1.0 + 0j], [0.2 + 0.9j], 0, 8) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-1.9727922061357857, abs=1e-12)
 
     @given(c=st.floats(1e-6, 1e6))
     @settings(max_examples=40)
     def test_positive_homogeneity(self, c):
-        h = np.array([0.3 - 0.7j, 1.1 + 0.2j])
+        h = [0.3 - 0.7j, 1.1 + 0.2j]
         x = np.array([0.5 + 0.4j, -0.2 + 0.9j])
-        base = safety_margin(h, x, np.exp(2j * np.pi / 8), 8)
-        scaled = safety_margin(h, c * x, np.exp(2j * np.pi / 8), 8)
-        assert scaled == pytest.approx(c * base, rel=1e-9)
+        base = user_margin(h, x, 1, 8)
+        assert user_margin(h, c * x, 1, 8) == pytest.approx(c * base, rel=1e-9)
 
 
 class TestPointMargin:
@@ -148,7 +148,7 @@ class TestMinMargin:
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s = np.exp(2j * np.pi * symbols / 8)
         assert min_margin(inst, to_real(x)) == pytest.approx(
-            safety_margin(H[0], x, s[0], 8), abs=1e-12
+            point_margin(H[0] @ x * np.conj(s[0]), 8), abs=1e-12
         )
 
     def test_zero_vector_gives_zero(self):
@@ -162,7 +162,7 @@ class TestMinMargin:
             H, symbols, inst = random_instance(rng)
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             s = np.exp(2j * np.pi * symbols / 8)
-            oracle = min(safety_margin(H[i], x, s[i], 8) for i in range(3))
+            oracle = min(point_margin(H[i] @ x * np.conj(s[i]), 8) for i in range(3))
             assert min_margin(inst, to_real(x)) == pytest.approx(oracle, abs=1e-12)
 
 
@@ -194,14 +194,9 @@ class TestOneBitVector:
         np.testing.assert_allclose(to_complex(to_real(x)), x, atol=0)
 
     def test_quantize_ties_to_positive(self):
-        out = quantize_one_bit(np.array([0.0, -0.0, -3.0, 2.0]), 1.0)
-        a = one_bit_amplitude(1.0, 2)
-        np.testing.assert_allclose(out, [a, a, -a, a])
-
-    def test_sign_ties_positive(self):
-        np.testing.assert_array_equal(
-            sign_ties_positive(np.array([-1.0, 0.0, 2.0])), [-1.0, 1.0, 1.0]
-        )
+        out = quantize_one_bit(np.array([0.0, -0.0, -3.0, 2.0, -1e-300, 1e-300]), 1.0)
+        a = one_bit_amplitude(1.0, 3)
+        np.testing.assert_array_equal(out, [a, a, -a, a, -a, a])
 
     def test_transmit_power_is_total_power(self):
         for power, n in [(1.0, 8), (4.0, 3)]:
