@@ -198,6 +198,10 @@ class TestOneBitVector:
         a = one_bit_amplitude(1.0, 3)
         np.testing.assert_array_equal(out, [a, a, -a, a, -a, a])
 
+    def test_sign_ties_positive(self):
+        out = quantize_one_bit(np.array([-1.0, 0.0, 2.0]), 1.0)
+        np.testing.assert_array_equal(np.sign(out), [-1.0, 1.0, 1.0])
+
     def test_transmit_power_is_total_power(self):
         for power, n in [(1.0, 8), (4.0, 3)]:
             v = OneBitVector(quantize_one_bit(np.random.default_rng(0).standard_normal(2 * n), power), power)
