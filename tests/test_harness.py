@@ -77,6 +77,15 @@ class TestPairedStreams:
         noise = paired_streams(spec.base_seed, 0, 0, params, spec.order)[2]
         assert abs(np.mean(np.abs(noise) ** 2) - 1.0) < 0.1
 
+    def test_draws_are_pinned(self):
+        """The substream layout is part of every results CSV: a changed path
+        or stream constant would silently stop old runs from replaying."""
+        params = make_spec(n_antennas=4, n_users=2).system_params(10.0)
+        H, symbols, noise = paired_streams(7, 3, 2, params, 8)
+        assert symbols.tolist() == [1, 1]
+        assert H[0, 0] == 0.8446819856260681 - 0.8285283357419755j
+        assert noise[1] == 0.028134515534469665 - 1.4251233041990228j
+
 
 class TestRunExperiment:
     def test_noiseless_limit_has_zero_errors(self):
