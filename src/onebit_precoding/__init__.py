@@ -14,12 +14,7 @@ from .baselines import (
     zf_onebit,
     zf_precode,
 )
-from .channel import (
-    RngSeed,
-    SystemParams,
-    draw_channel,
-    draw_symbols,
-)
+from .channel import SystemParams, draw_channel, draw_symbols, substream
 from .constellation import MpskConstellation, q_function, sep_union_bound
 from .falm import (
     SolveReport,
@@ -50,7 +45,6 @@ __all__ = [
     "MsmReport",
     "OneBitVector",
     "PrecodingInstance",
-    "RngSeed",
     "SolveReport",
     "SolverConfig",
     "SolverFailure",
@@ -72,6 +66,7 @@ __all__ = [
     "run_experiment",
     "sep_union_bound",
     "smoothed_objective",
+    "substream",
     "to_complex",
     "to_real",
     "update_v",

@@ -1,5 +1,6 @@
-"""System parameters and the seeded channel, symbol and noise draws of the
-downlink y_i = h_i^T x + eta_i (plain transpose, no conjugation)."""
+"""System parameters and the channel, symbol and noise draws of the downlink
+y_i = h_i^T x + eta_i (plain transpose, no conjugation). Each draw takes a
+numpy Generator; ``substream(seed, *path)`` gives the seeded one."""
 
 from __future__ import annotations
 
@@ -37,52 +38,25 @@ class SystemParams:
             raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """A 64-bit base seed plus a counter path identifying one substream.
-
-    Identical (seed, path) pairs always produce identical draws; distinct
-    paths are statistically independent. Generators derived here are never
-    shared between workers.
-    """
-
-    seed: int
-    path: tuple = ()
-
-    def child(self, *counters: int) -> "RngSeed":
-        return RngSeed(self.seed, self.path + tuple(int(c) for c in counters))
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=self.path)
-        )
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """The generator of substream ``path`` under base ``seed``: identical
+    (seed, path) pairs give identical draws, distinct paths independent ones."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def _generator(seed) -> np.random.Generator:
-    # A Generator passes through, so consecutive draws can share its stream.
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, RngSeed):
-        return seed.generator()
-    return RngSeed(int(seed)).generator()
-
-
-def draw_channel(n_users: int, n_antennas: int, seed) -> np.ndarray:
+def draw_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a K x N channel with i.i.d. CN(0, 1) entries (real and imaginary
     parts independent N(0, 1/2))."""
-    rng = _generator(seed)
     shape = (n_users, n_antennas)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def draw_unit_noise(count: int, seed) -> np.ndarray:
+def draw_unit_noise(count: int, rng: np.random.Generator) -> np.ndarray:
     """CN(0, 1) samples; scaled by per-SNR sigma downstream so the same
     stream serves every SNR point."""
-    rng = _generator(seed)
     return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
 
 
-def draw_symbols(order: int, count: int, seed) -> np.ndarray:
+def draw_symbols(order: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random symbol indices in [0, order)."""
-    rng = _generator(seed)
     return rng.integers(0, order, size=count)

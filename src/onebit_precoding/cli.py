@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import available_precoders
-from .channel import RngSeed, draw_channel, draw_symbols
+from .channel import draw_channel, draw_symbols, substream
 from .falm import SolverConfig, falm_solve
 from .harness import ExperimentSpec, format_snr, run_experiment, write_csv
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
@@ -88,10 +88,11 @@ def parse_snr(text: str) -> tuple:
     return tuple(start + step * k for k in range(count))
 
 
-def check_count(flag: str, value: int) -> None:
-    """The check of every count flag: ``--flag`` must be at least 1."""
-    if value < 1:
-        raise CliError(f"--{flag} must be >= 1, got {value}")
+def check_count(flag: str, value: int, least: int = 1) -> None:
+    """The check of every count flag, and of ``--seed`` with ``least=0``:
+    ``--flag`` must be at least ``least``."""
+    if value < least:
+        raise CliError(f"--{flag} must be >= {least}, got {value}")
 
 
 def read_config_file(path: str) -> dict:
@@ -118,6 +119,7 @@ def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
     precoders = tuple(p.strip() for p in args.precoders.split(",") if p.strip())
     for flag in ("block", "trials", "workers"):
         check_count(flag, getattr(args, flag))
+    check_count("seed", args.seed, least=0)
     try:
         return ExperimentSpec(
             n_antennas=args.antennas,
@@ -233,6 +235,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify_sep(args) -> int:
     check_count("implication-draws", args.implication_draws)
     check_count("bound-trials", args.bound_trials)
+    check_count("seed", args.seed, least=0)
     results = run_verification(
         seed=args.seed,
         implication_draws=args.implication_draws,
@@ -250,9 +253,9 @@ def _cmd_verify_sep(args) -> int:
 
 def _cmd_solve_one(args) -> int:
     order, config = _system_from_args(args)
-    root = RngSeed(args.seed)
-    H = draw_channel(args.users, args.antennas, root.child(0))
-    symbols = draw_symbols(order, args.users, root.child(1))
+    check_count("seed", args.seed, least=0)
+    H = draw_channel(args.users, args.antennas, substream(args.seed, 0))
+    symbols = draw_symbols(order, args.users, substream(args.seed, 1))
     instance = build_instance(H, symbols, order, args.power)
     if args.trace is None:
         report = falm_solve(instance, config)
@@ -273,13 +276,13 @@ def _cmd_solve_one(args) -> int:
 
 def oracle_counts(seeds, n_antennas, n_users, order, power, config=None) -> tuple:
     """FALM against the enumerated optimum on the instance of each seed, drawn
-    from RngSeed(seed).child(0). Returns how many seeds come within the 5%
+    from substream(seed, 0). Returns how many seeds come within the 5%
     gap of the optimum, how many reach it, how many have a negative
     optimum, and how many of those come within the gap. A margin above the
     optimum raises RuntimeError."""
     hits = exact = negative = negative_hits = 0
     for seed in seeds:
-        rng = RngSeed(seed).child(0).generator()
+        rng = substream(seed, 0)
         H = draw_channel(n_users, n_antennas, rng)
         instance = build_instance(H, draw_symbols(order, n_users, rng), order, power)
         margin = falm_solve(instance, config).margin

@@ -26,11 +26,11 @@ from .channel import (
     CHANNEL_STREAM,
     NOISE_STREAM,
     SYMBOL_STREAM,
-    RngSeed,
     SystemParams,
     draw_channel,
     draw_symbols,
     draw_unit_noise,
+    substream,
 )
 from .constellation import MpskConstellation
 from .falm import SolverConfig
@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise ValueError("precoder_ids must be non-empty")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         MpskConstellation(self.order)  # order validation
         for pid in self.precoder_ids:  # an unknown id raises KeyError
             get_precoder(pid, self.solver)
@@ -125,10 +127,13 @@ def paired_streams(base_seed: int, realization: int, t: int, params: SystemParam
     """The (channel, symbols, unit noise) triple seen by every precoder at
     one (realization, t). Counter-based substreams keep the three draws
     independent and stable when trials are added."""
-    root = RngSeed(base_seed)
-    H = draw_channel(params.n_users, params.n_antennas, root.child(CHANNEL_STREAM, realization))
-    symbols = draw_symbols(order, params.n_users, root.child(SYMBOL_STREAM, realization, t))
-    noise = draw_unit_noise(params.n_users, root.child(NOISE_STREAM, realization, t))
+    H = draw_channel(
+        params.n_users, params.n_antennas, substream(base_seed, CHANNEL_STREAM, realization)
+    )
+    symbols = draw_symbols(
+        order, params.n_users, substream(base_seed, SYMBOL_STREAM, realization, t)
+    )
+    noise = draw_unit_noise(params.n_users, substream(base_seed, NOISE_STREAM, realization, t))
     return H, symbols, noise
 
 

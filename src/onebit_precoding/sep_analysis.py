@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngSeed, _generator, draw_channel, draw_symbols
+from .channel import draw_channel, draw_symbols, substream
 from .constellation import MpskConstellation, sep_union_bound
 from .falm import falm_solve
 from .precoding import build_instance, point_margin
@@ -41,16 +41,15 @@ class SepEstimate:
     std_err_shifted: float
 
 
-def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, seed) -> SepEstimate:
+def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, rng) -> SepEstimate:
     """Estimate Pr(dec(z + eta) != 1) and Pr(dec(z_hat + eta) != 1) from
-    ``n_trials`` shared noise draws of variance sigma^2, z_hat being the
-    point_margin of z."""
+    ``n_trials`` shared noise draws of variance sigma^2 taken from the
+    Generator ``rng``, z_hat being the point_margin of z."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     # Written so that NaN fails too.
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    rng = _generator(seed)
     c = MpskConstellation(order)
     z_hat = point_margin(z, order)
     eta = (
@@ -82,9 +81,8 @@ class CheckResult:
     passed: bool
 
 
-def _implication_violations(order: int, n_draws: int, seed: RngSeed) -> int:
+def _implication_violations(order: int, n_draws: int, rng) -> int:
     """Count violations of the per-draw implication over random (z, eta)."""
-    rng = seed.generator()
     c = MpskConstellation(order)
     z = rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
     eta = rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
@@ -115,11 +113,10 @@ def run_verification(
     empirical error chain against the closed-form bound (both margin signs),
     and the bound applied to the receptions of a FALM transmission. Returns
     one CheckResult per check."""
-    base = RngSeed(seed)
     results = []
 
     for order in (2, 4, 8, 16):
-        violations = _implication_violations(order, implication_draws, base.child(0, order))
+        violations = _implication_violations(order, implication_draws, substream(seed, 0, order))
         results.append(
             CheckResult(
                 name=f"implication M={order}",
@@ -128,12 +125,11 @@ def run_verification(
             )
         )
 
-    rng = base.child(1).generator()
-    points = _bound_test_points(rng)
+    points = _bound_test_points(substream(seed, 1))
     for order in (4, 8, 16):
         alphas, chain_gaps, bound_gaps = [], [], []
         for j, z in enumerate(points):
-            est = empirical_sep(z, SIGMA, order, bound_trials, base.child(2, order, j))
+            est = empirical_sep(z, SIGMA, order, bound_trials, substream(seed, 2, order, j))
             alpha = point_margin(z, order)
             bound = sep_union_bound(alpha, SIGMA, order)
             se_pair = np.hypot(est.std_err, est.std_err_shifted)
@@ -155,15 +151,15 @@ def run_verification(
             )
         )
 
-    results.append(_precoded_reception_check(base.child(3), bound_trials))
+    results.append(_precoded_reception_check(seed, bound_trials))
     return results
 
 
-def _precoded_reception_check(seed: RngSeed, n_trials: int) -> CheckResult:
+def _precoded_reception_check(seed: int, n_trials: int) -> CheckResult:
     """Union bound on the per-user SEP of a FALM transmission: for each user
     the reception rotated by the intended symbol is a scalar point whose
     margin feeds the closed-form bound."""
-    rng = seed.generator()
+    rng = substream(seed, 3)
     n_antennas, n_users, order, power, sigma = 16, 4, 8, 1.0, 0.3
     H = draw_channel(n_users, n_antennas, rng)
     symbols = draw_symbols(order, n_users, rng)
@@ -172,7 +168,7 @@ def _precoded_reception_check(seed: RngSeed, n_trials: int) -> CheckResult:
     alphas = point_margin(z, order)
     gaps = []
     for i, alpha in enumerate(alphas):
-        est = empirical_sep(z[i], sigma, order, n_trials, seed.child(10 + i))
+        est = empirical_sep(z[i], sigma, order, n_trials, substream(seed, 3, 10 + i))
         bound = sep_union_bound(alpha, sigma, order)
         gaps.append(est.err_rate - bound - 3.0 * est.std_err)
     return CheckResult(

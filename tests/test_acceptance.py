@@ -12,7 +12,6 @@ import pytest
 
 from onebit_precoding import (
     ExperimentSpec,
-    RngSeed,
     SolverConfig,
     build_instance,
     draw_channel,
@@ -23,6 +22,7 @@ from onebit_precoding import (
     run_experiment,
     sep_union_bound,
     smoothed_objective,
+    substream,
     update_v,
     write_csv,
 )
@@ -49,7 +49,7 @@ def test_criterion_01_implication_never_violated():
     start = time.perf_counter()
     draws = 100_000
     violations = {
-        order: _implication_violations(order, draws, RngSeed(101, (order,)))
+        order: _implication_violations(order, draws, substream(101, order))
         for order in (2, 4, 8, 16)
     }
     elapsed = time.perf_counter() - start
@@ -78,7 +78,7 @@ def test_criterion_02_empirical_chain_and_union_bound():
         for j, z in enumerate(points):
             alpha = point_margin(z, order)
             sign_cover[order].add(alpha > 0)
-            est = empirical_sep(z, sigma, order, trials, RngSeed(203, (order, j)))
+            est = empirical_sep(z, sigma, order, trials, substream(203, order, j))
             bound = sep_union_bound(alpha, sigma, order)
             pair_se = np.hypot(est.std_err, est.std_err_shifted)
             if est.err_rate > est.err_rate_shifted + 3 * pair_se:

@@ -1,5 +1,7 @@
-"""The public API has no name that only the tests use."""
+"""The public API has no name that only the tests use, and no module
+reaches into another's private names."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -23,3 +25,18 @@ def test_every_export_is_used_outside_the_tests():
         if uses <= definitions and not re.search(rf"\b{name}\b", elsewhere):
             unused.append(name)
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """No package module imports an underscore-prefixed name from another
+    package module."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith(PACKAGE.name)
+            ):
+                private += [
+                    f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
+                ]
+    assert private == []

@@ -309,6 +309,9 @@ class TestOtherCommands:
             ("verify-sep", ["--bound-trials", "0"], "--bound-trials"),
             ("solve-one", ["--power", "0"], "--power"),
             ("run", ["--power", "nan"], "--power"),
+            ("run", ["--seed", "-1"], "--seed"),
+            ("solve-one", ["--seed", "-1"], "--seed"),
+            ("verify-sep", ["--seed", "-1"], "--seed"),
         ],
     )
     def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):

@@ -514,6 +514,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="block_length"):
             make_spec(block_length=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            make_spec(base_seed=-1)
+
     def test_rejects_empty_precoders(self):
         with pytest.raises(ValueError):
             make_spec(precoder_ids=())
