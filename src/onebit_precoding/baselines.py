@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .constellation import MpskConstellation
 from .falm import SolverConfig, falm_solve
@@ -18,6 +17,7 @@ from .precoding import (
     build_instance,
     min_margin,
     quantize_one_bit,
+    relaxed_lp,
     to_complex,
     to_real,
 )
@@ -44,25 +44,6 @@ def zf_onebit(H: np.ndarray, symbols, constellation: MpskConstellation, power: f
     return to_complex(quantize_one_bit(to_real(x), power))
 
 
-def msm_lp_problem(instance: PrecodingInstance) -> dict:
-    """Box relaxation of the max-min-margin design as keyword arguments of
-    ``scipy.optimize.milp`` (no integrality, so an LP): over [x; t],
-    maximize t (minimize -t) subject to every margin form + t <= 0 and
-    |x_j| <= sqrt(P/2N)."""
-    a = instance.amplitude
-    n2 = 2 * instance.n_antennas
-    forms = instance.forms
-    objective = np.zeros(n2 + 1)
-    objective[-1] = -1.0
-    upper = np.full(n2 + 1, a)
-    upper[n2] = np.inf
-    return dict(
-        c=objective,
-        constraints=LinearConstraint(np.hstack([forms, np.ones((forms.shape[0], 1))]), -np.inf, 0.0),
-        bounds=Bounds(-upper, upper),
-    )
-
-
 @dataclass(frozen=True)
 class MsmReport:
     """x_onebit is the sign-quantized relaxed solution; relaxed_optimum is
@@ -76,20 +57,10 @@ class MsmReport:
 
 def msm_precode(instance: PrecodingInstance) -> MsmReport:
     """Maximum-safety-margin design: solve the box-relaxed LP, then quantize
-    componentwise by sign (ties to +). The LP goes through ``milp``, whose
-    per-call input checks cost less than ``linprog``'s, with HiGHS's presolve
-    off: it reduces nothing on these dense LPs and took a fifth to a quarter
-    of the solve time."""
-    solution = milp(**msm_lp_problem(instance), options={"presolve": False})
-    if solution.status != 0:
-        raise RuntimeError(f"MSM LP solve failed: {solution.message}")
-    n2 = 2 * instance.n_antennas
-    x_q = quantize_one_bit(solution.x[:n2], instance.power)
-    return MsmReport(
-        x_onebit=OneBitVector(x_q, instance.power),
-        relaxed_optimum=float(-solution.fun),
-        margin=min_margin(instance, x_q),
-    )
+    componentwise by sign (ties to +)."""
+    x, t_star = relaxed_lp(instance)
+    x_q = quantize_one_bit(x, instance.power)
+    return MsmReport(OneBitVector(x_q, instance.power), t_star, min_margin(instance, x_q))
 
 
 # --- precoder registry -----------------------------------------------------

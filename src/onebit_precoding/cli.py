@@ -263,7 +263,10 @@ def _cmd_solve_one(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as trace:
             report = falm_solve(instance, config, trace_file=trace)
     print(f"instance: N={args.antennas} K={args.users} M={order} P={args.power:g} seed={args.seed}")
+    t_star = report.relaxed_optimum
     print(f"margin:            {report.margin:.6f}")
+    print(f"LP optimum t*:     {t_star:.6f}")
+    print(f"margin / t*:       {report.margin / t_star if t_star > 0 else math.nan:.3f}")
     print(f"outer iterations:  {report.outer_iterations}")
     print(f"inner iterations:  {report.inner_iterations}")
     at_cap = sum(s.apg_iterations == config.apg_max_iters for s in report.steps)

@@ -12,11 +12,14 @@ nonnegative on the feasible set and vanishes exactly at binary points with
 v = x. The outer loop alternates an accelerated projected gradient (APG)
 x-update with the closed-form v-update v = sqrt(P) x / |x|, growing lambda
 geometrically until it crosses lambda_max; the iterate is then snapped onto
-the one-bit alphabet by componentwise sign (ties to +).
+the one-bit alphabet by componentwise sign (ties to +). It starts from the
+solution of the box-relaxed max-min-margin LP with v = 0, and its first two
+outer iterations take one APG iteration each.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -28,7 +31,14 @@ from .precoding import (
     PrecodingInstance,
     min_margin,
     quantize_one_bit,
+    relaxed_lp,
 )
+
+# APG caps of the first outer iterations, lambda = 0.01 and 0.1 by default;
+# every later one runs up to apg_max_iters. The start, the box LP's solution,
+# already maximizes the worst-user margin over the box, which is what the
+# small-penalty levels approach, so more iterations there buy nothing.
+EARLY_APG_CAPS = (1, 1)
 
 
 class SolverFailure(RuntimeError):
@@ -41,12 +51,13 @@ class SolverConfig:
 
     Defaults give the penalty trace 0.01, 0.1, 1, 10, 100 (five levels, one
     geometric update per outer iteration) before termination, each level one
-    APG call of at most apg_max_iters iterations at the fixed step of
-    ``apg_step``. The paper runs 2,000 per level at step 1/L; the default
-    1,400 at the twice-larger step reaches the same mean worst-user margin
-    with about 70% of the iterations at N=32 and N=128, and same-seed BER
-    curves agree within paired Monte-Carlo error. Each call also ends at
-    the gradient-mapping norm threshold of ``apg_tolerance``.
+    APG call at the fixed step of ``apg_step``. The first two calls are
+    capped by ``EARLY_APG_CAPS``, the later ones at apg_max_iters. The paper
+    runs 2,000 per level at step 1/L; the default 1,400 at the twice-larger
+    step reaches the same mean worst-user margin with about 70% of the
+    iterations at N=32 and N=128, and same-seed BER curves agree within
+    paired Monte-Carlo error. Each call also ends at the gradient-mapping
+    norm threshold of ``apg_tolerance``. Every value must be finite.
     """
 
     mu: float = 0.01
@@ -56,14 +67,15 @@ class SolverConfig:
     apg_max_iters: int = 1400
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lambda0 <= 0:
+        # Written so that NaN fails too.
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 < self.lambda0:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if self.delta <= 1:
-            raise ValueError(f"delta must exceed 1, got {self.delta}")
-        if self.lambda_max <= self.lambda0:
-            raise ValueError("lambda_max must exceed lambda0")
+        if not 1 < self.delta < math.inf:
+            raise ValueError(f"delta must exceed 1 and be finite, got {self.delta}")
+        if not self.lambda0 < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max must exceed lambda0 and be finite, got {self.lambda_max}")
         if self.apg_max_iters < 1:
             raise ValueError("apg_max_iters must be >= 1")
 
@@ -83,11 +95,13 @@ class OuterStep(NamedTuple):
 class SolveReport:
     """Outcome of one FALM solve. ``margin`` is always evaluated on the
     quantized one-bit vector that is returned; ``steps`` holds one record
-    per outer iteration."""
+    per outer iteration; ``relaxed_optimum`` is the box LP's optimum t*, an
+    upper bound on every one-bit margin."""
 
     x_onebit: OneBitVector
     margin: float
     steps: list
+    relaxed_optimum: float
 
     @property
     def outer_iterations(self) -> int:
@@ -298,29 +312,33 @@ def falm_solve(
 ) -> SolveReport:
     """Run the full penalty continuation and return the quantized solution.
 
-    ``init`` is None (x0 = v0 = 0, the standard start) or a real 2N vector.
-    Each APG call warm-starts from the previous outer iterate. ``trace_file``
-    is None or an open text file, which receives each outer step of the
-    report as a CSV row for debugging; its ``inner_iters`` column is the
-    step's APG count.
+    The box LP is solved first, for its optimum t* and its maximizer.
+    ``init`` is None (x0 = the LP's maximizer, the standard start) or a real
+    2N vector that replaces it; v0 = 0 either way, and the first outer
+    iterations take the caps of ``EARLY_APG_CAPS`` whatever the start. Each
+    APG call warm-starts from the previous outer iterate. ``trace_file`` is
+    None or an open text file, which receives each outer step of the report
+    as a CSV row for debugging; its ``inner_iters`` column is the step's APG
+    count.
     """
     if config is None:
         config = SolverConfig()
     n2 = 2 * instance.n_antennas
-    if init is None:
-        x = np.zeros(n2)
-    else:
+    x, t_star = relaxed_lp(instance)
+    if init is not None:
         x = np.array(init, dtype=float)
         if x.shape != (n2,):
             raise ValueError(f"init shape {x.shape} does not match ({n2},)")
     v = np.zeros(n2)
+    level_configs = [dataclasses.replace(config, apg_max_iters=cap) for cap in EARLY_APG_CAPS]
 
     steps = []
     if trace_file is not None:
         trace_file.write("outer_iter,lambda,objective,penalty_gap,inner_iters\n")
     lam = config.lambda0
     while lam <= config.lambda_max:
-        x, inner = _apg(instance, v, lam, config.mu, x, config)
+        level = level_configs[len(steps)] if len(steps) < len(level_configs) else config
+        x, inner = _apg(instance, v, lam, config.mu, x, level)
         v = update_v(x, instance.power)
         gap = instance.power - x @ v
         objective = smoothed_objective(instance, x, config.mu) + lam * gap
@@ -330,4 +348,4 @@ def falm_solve(
         lam *= config.delta
 
     x_q = quantize_one_bit(x, instance.power)
-    return SolveReport(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps)
+    return SolveReport(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps, t_star)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 # Largest N that optimal_onebit_margin enumerates; memory grows as 4^N.
 MAX_ENUMERATED_ANTENNAS = 8
@@ -136,6 +137,33 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
     b = np.concatenate([g.real, -g.imag], axis=1)
     r = cot_half_sector(order) * np.concatenate([g.imag, g.real], axis=1)
     return PrecodingInstance(np.vstack([-b + r, -b - r]), power)
+
+
+def relaxed_lp(instance: PrecodingInstance) -> tuple:
+    """(x, t*) of the box relaxation of the max-min-margin design (Jedda,
+    Mezghani, Nossek & Swindlehurst, SPAWC 2017): over [x; t], maximize t
+    subject to every margin form + t <= 0 and |x_j| <= sqrt(P/2N). t* bounds
+    every one-bit margin from above. It goes through ``milp`` (no
+    integrality, so an LP), whose per-call input checks cost less than
+    ``linprog``'s, with HiGHS's presolve off: it reduces nothing on these
+    dense LPs and took a fifth to a quarter of the solve time. A failed
+    solve raises RuntimeError."""
+    a = instance.amplitude
+    n2 = 2 * instance.n_antennas
+    forms = instance.forms
+    objective = np.zeros(n2 + 1)
+    objective[-1] = -1.0
+    upper = np.full(n2 + 1, a)
+    upper[n2] = np.inf
+    solution = milp(
+        objective,
+        constraints=LinearConstraint(np.hstack([forms, np.ones((forms.shape[0], 1))]), -np.inf, 0.0),
+        bounds=Bounds(-upper, upper),
+        options={"presolve": False},
+    )
+    if solution.status != 0:
+        raise RuntimeError(f"box-relaxed LP solve failed: {solution.message}")
+    return solution.x[:n2], float(-solution.fun)
 
 
 def point_margin(z, order: int):

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog, milp
+from scipy.optimize import linprog
 
 from onebit_precoding import (
     MpskConstellation,
@@ -22,9 +22,8 @@ from onebit_precoding import (
     zf_onebit,
     zf_precode,
 )
-from onebit_precoding import baselines
-from onebit_precoding.baselines import msm_lp_problem
-from onebit_precoding.precoding import optimal_onebit_margin
+from onebit_precoding import baselines, precoding
+from onebit_precoding.precoding import optimal_onebit_margin, relaxed_lp
 
 
 def solve_hermitian_by_elimination(A, b):
@@ -51,7 +50,7 @@ def solve_hermitian_by_elimination(A, b):
 def presolved_linprog(instance):
     """MSM's LP written independently for ``linprog`` and solved with
     HiGHS's defaults, presolve on: the reference for the presolve-free
-    ``milp`` solve inside ``msm_precode``."""
+    ``milp`` solve of ``relaxed_lp``."""
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
     forms = instance.forms
@@ -169,9 +168,8 @@ class TestLpSolve:
         H = draw_channel(2, 2, rng)
         symbols = rng.integers(0, 4, size=2)
         instance = build_instance(H, symbols, 4, 1.0)
-        problem = msm_lp_problem(instance)
-        solution = milp(**problem)
-        forms = problem["constraints"].A
+        _, t_star = relaxed_lp(instance)
+        forms = np.hstack([instance.forms, np.ones((4, 1))])
 
         n = 5  # 4 box coordinates + margin variable
         a = instance.amplitude
@@ -195,7 +193,7 @@ class TestLpSolve:
             )
             if feasible and t > best:
                 best = t
-        assert -solution.fun == pytest.approx(best, abs=1e-6)
+        assert t_star == pytest.approx(best, abs=1e-6)
 
 
 class TestMsmPrecode:
@@ -238,7 +236,7 @@ class TestMsmPrecode:
     def test_lp_failure_raises(self, monkeypatch):
         instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), 4, 1.0)
         failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
-        monkeypatch.setattr(baselines, "milp", lambda **kwargs: failed)
+        monkeypatch.setattr(precoding, "milp", lambda *args, **kwargs: failed)
         with pytest.raises(RuntimeError, match="infeasible"):
             msm_precode(instance)
 

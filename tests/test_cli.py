@@ -15,6 +15,12 @@ from onebit_precoding.cli import (
 )
 
 
+# A small system, so that a solver value that slipped past validation would
+# still finish quickly.
+SMALL = ["--antennas", "4", "--users", "2"]
+SMALL_RUN = [*SMALL, "--block", "1", "--trials", "1", "--snr", "10", "--precoders", "falm,zf-ob"]
+
+
 def strip_timing(csv_text: str):
     rows = []
     for line in csv_text.splitlines():
@@ -255,6 +261,15 @@ class TestOtherCommands:
         assert "penalty trace" in out
         assert trace.read_text().startswith("outer_iter,lambda,")
 
+    def test_solve_one_prints_the_lp_bound(self, capsys):
+        """t* is the box LP's optimum, which bounds the one-bit margin, and
+        the ratio line divides the two printed values."""
+        assert main(["solve-one", "--antennas", "8", "--users", "3", "--seed", "4"]) == 0
+        lines = dict(l.split(":", 1) for l in capsys.readouterr().out.splitlines())
+        margin, t_star = float(lines["margin"]), float(lines["LP optimum t*"])
+        assert 0 < margin <= t_star
+        assert lines["margin / t*"].strip() == f"{margin / t_star:.3f}"
+
     def test_solve_one_counts_apg_calls_at_the_cap(self, capsys, tmp_path):
         """The count agrees with the trace's per-step iterations."""
         trace = tmp_path / "trace.csv"
@@ -312,14 +327,22 @@ class TestOtherCommands:
             ("run", ["--seed", "-1"], "--seed"),
             ("solve-one", ["--seed", "-1"], "--seed"),
             ("verify-sep", ["--seed", "-1"], "--seed"),
+            ("solve-one", [*SMALL, "--delta", "nan"], "invalid solver parameter: delta"),
+            ("solve-one", [*SMALL, "--delta", "inf"], "invalid solver parameter: delta"),
+            ("solve-one", [*SMALL, "--mu", "inf"], "invalid solver parameter: mu"),
+            ("run", [*SMALL_RUN, "--lambda-max", "inf"], "invalid solver parameter: lambda_max"),
+            ("run", [*SMALL_RUN, "--lambda0", "nan"], "invalid solver parameter: lambda0"),
         ],
     )
     def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):
-        out = ["--out", str(tmp_path / "x.csv")] if command == "run" else []
-        assert main([command, *flags, *out]) == 2
+        """Exit 2 with the flag or parameter named, and no CSV (results or
+        trace) written."""
+        out = tmp_path / "x.csv"
+        dest = {"run": ["--out", str(out)], "solve-one": ["--trace", str(out)]}.get(command, [])
+        assert main([command, *flags, *dest]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} ")
-        assert not (tmp_path / "x.csv").exists()
+        assert not out.exists()
 
     def test_verify_sep_quick(self, capsys):
         code = main(

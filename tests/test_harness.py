@@ -3,6 +3,7 @@ error accounting, and CSV output."""
 
 import dataclasses
 import logging
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from onebit_precoding import (
     run_experiment,
     write_csv,
 )
-from onebit_precoding import baselines, harness
+from onebit_precoding import baselines, harness, precoding
 from onebit_precoding.harness import CSV_COLUMNS
 
 
@@ -340,6 +341,29 @@ class TestRunExperiment:
         expected_symbols = (total_instances - total_instances // 3) * spec.n_users
         assert records[0].symbol_count == expected_symbols
 
+
+    def test_lp_failure_inside_falm_is_a_falm_failure(self, monkeypatch):
+        """FALM starts from the box LP: a failed LP solve fails that
+        symbol time's falm solve, and the other precoders count as before."""
+        spec = make_spec(precoder_ids=("falm", "zf-ob"), n_realizations=2)
+        before = run_experiment(spec)
+        failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
+        monkeypatch.setattr(precoding, "milp", lambda *args, **kwargs: failed)
+        after = run_experiment(spec)
+        n = len(spec.snr_db)
+        assert all(r.failures == 2 * spec.block_length and r.symbol_count == 0 for r in after[:n])
+        assert records_without_timing(after[n:]) == records_without_timing(before[n:])
+
+    def test_falm_never_calls_msm_precode(self, monkeypatch):
+        """FALM solves the LP itself: a falm-only run does not go through
+        msm_precode, which a profiler may count as MSM's solves."""
+
+        def refuse(instance):
+            raise AssertionError("msm_precode called")
+
+        monkeypatch.setattr(baselines, "msm_precode", refuse)
+        records = run_experiment(make_spec(precoder_ids=("falm",), n_realizations=2))
+        assert [r.failures for r in records] == [0] * len(records)
 
     def test_one_traceback_per_precoder_and_exception_type(self, monkeypatch, caplog):
         """T=4 with K > N: zf raises on every symbol time, and a precoder
