@@ -7,7 +7,6 @@ BER harness with a CLI.
 """
 
 from .baselines import (
-    MsmReport,
     available_precoders,
     get_precoder,
     msm_precode,
@@ -42,7 +41,6 @@ __all__ = [
     "BerRecord",
     "ExperimentSpec",
     "MpskConstellation",
-    "MsmReport",
     "OneBitVector",
     "PrecodingInstance",
     "SolveReport",

@@ -4,18 +4,15 @@ plus the string-keyed precoder registry used by the harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .constellation import MpskConstellation
-from .falm import SolverConfig, falm_solve
+from .falm import SolveReport, SolverConfig, falm_solve
 from .precoding import (
-    OneBitVector,
     PrecodingInstance,
     build_instance,
-    min_margin,
     quantize_one_bit,
     relaxed_lp,
     to_complex,
@@ -44,23 +41,12 @@ def zf_onebit(H: np.ndarray, symbols, constellation: MpskConstellation, power: f
     return to_complex(quantize_one_bit(to_real(x), power))
 
 
-@dataclass(frozen=True)
-class MsmReport:
-    """x_onebit is the sign-quantized relaxed solution; relaxed_optimum is
-    the LP value t* (an upper bound on any one-bit margin); margin is the
-    worst-user margin of the quantized vector."""
-
-    x_onebit: OneBitVector
-    relaxed_optimum: float
-    margin: float
-
-
-def msm_precode(instance: PrecodingInstance) -> MsmReport:
+def msm_precode(instance: PrecodingInstance) -> SolveReport:
     """Maximum-safety-margin design: solve the box-relaxed LP, then quantize
-    componentwise by sign (ties to +)."""
+    componentwise by sign (ties to +). The LP's maximizer is FALM's start,
+    so the report is FALM's before its first outer iteration: no steps."""
     x, t_star = relaxed_lp(instance)
-    x_q = quantize_one_bit(x, instance.power)
-    return MsmReport(OneBitVector(x_q, instance.power), t_star, min_margin(instance, x_q))
+    return SolveReport.quantized(instance, x, [], t_star)
 
 
 # --- precoder registry -----------------------------------------------------

@@ -19,7 +19,6 @@ outer iterations take one APG iteration each.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -51,8 +50,10 @@ class SolverConfig:
 
     Defaults give the penalty trace 0.01, 0.1, 1, 10, 100 (five levels, one
     geometric update per outer iteration) before termination, each level one
-    APG call at the fixed step of ``apg_step``. The first two calls are
-    capped by ``EARLY_APG_CAPS``, the later ones at apg_max_iters. The paper
+    APG call at the fixed step of ``apg_step``, capped by the entries of
+    ``EARLY_APG_CAPS`` in turn, then by apg_max_iters. A level runs while
+    lambda <= lambda_max up to a relative 1e-9, so rounding drops no level:
+    lambda0=0.07, lambda_max=700 runs five. The paper
     runs 2,000 per level at step 1/L; the default 1,400 at the twice-larger
     step reaches the same mean worst-user margin with about 70% of the
     iterations at N=32 and N=128, and same-seed BER curves agree within
@@ -93,15 +94,22 @@ class OuterStep(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one FALM solve. ``margin`` is always evaluated on the
-    quantized one-bit vector that is returned; ``steps`` holds one record
-    per outer iteration; ``relaxed_optimum`` is the box LP's optimum t*, an
-    upper bound on every one-bit margin."""
+    """Outcome of one one-bit solve, FALM's or MSM's. ``margin`` is always
+    evaluated on the quantized one-bit vector that is returned; ``steps``
+    holds one record per outer iteration, none for MSM; ``relaxed_optimum``
+    is the box LP's optimum t*, an upper bound on every one-bit margin."""
 
     x_onebit: OneBitVector
     margin: float
     steps: list
     relaxed_optimum: float
+
+    @classmethod
+    def quantized(cls, instance: PrecodingInstance, x_real, steps: list, relaxed_optimum: float):
+        """The report of the relaxed point x_real quantized componentwise by
+        sign (ties to +)."""
+        x_q = quantize_one_bit(x_real, instance.power)
+        return cls(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps, relaxed_optimum)
 
     @property
     def outer_iterations(self) -> int:
@@ -168,7 +176,7 @@ class _Point:
         self.e = self.w[:m]
 
 
-def _apg(instance, v, lam, mu, x_init, config):
+def _apg(instance, v, lam, mu, x_init, max_iters):
     """Monotone APG on the penalized surrogate over the box [-a, a]^2N.
 
     Nesterov momentum is restarted whenever the accelerated step fails to
@@ -191,16 +199,15 @@ def _apg(instance, v, lam, mu, x_init, config):
     reference in tests/test_falm.py does the same arithmetic, and x and the
     count match it bit for bit.
 
-    A call ends at the tolerance, at the cap, or when it stalls: the plain
-    step of a restart is rejected too. The step is fixed, so a stall
-    leaves (x, y = x, t = 1), from which every later iteration would
-    recompute the same rejected step; x is final. A non-finite value at
-    any point raises SolverFailure.
+    A call ends at the tolerance, after max_iters iterations, or when it
+    stalls: the plain step of a restart is rejected too. The step is fixed,
+    so a stall leaves (x, y = x, t = 1), from which every later iteration
+    would recompute the same rejected step; x is final. A non-finite value
+    at any point raises SolverFailure.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
     tol = apg_tolerance(instance)
-    max_iters = config.apg_max_iters
     forms = instance.forms
     m = forms.shape[0]
     power = instance.power
@@ -314,9 +321,11 @@ def falm_solve(
 
     The box LP is solved first, for its optimum t* and its maximizer.
     ``init`` is None (x0 = the LP's maximizer, the standard start) or a real
-    2N vector that replaces it; v0 = 0 either way, and the first outer
-    iterations take the caps of ``EARLY_APG_CAPS`` whatever the start. Each
-    APG call warm-starts from the previous outer iterate. ``trace_file`` is
+    2N vector that replaces it; v0 = 0 either way. The APG calls take the
+    caps of ``EARLY_APG_CAPS`` in turn, whatever the start, then
+    config.apg_max_iters, each warm-started from the previous outer iterate.
+    Levels run while lambda <= lambda_max up to a relative 1e-9, so the
+    rounding of lambda0 * delta^k cannot drop the last one. ``trace_file`` is
     None or an open text file, which receives each outer step of the report
     as a CSV row for debugging; its ``inner_iters`` column is the step's APG
     count.
@@ -330,15 +339,14 @@ def falm_solve(
         if x.shape != (n2,):
             raise ValueError(f"init shape {x.shape} does not match ({n2},)")
     v = np.zeros(n2)
-    level_configs = [dataclasses.replace(config, apg_max_iters=cap) for cap in EARLY_APG_CAPS]
 
     steps = []
     if trace_file is not None:
         trace_file.write("outer_iter,lambda,objective,penalty_gap,inner_iters\n")
+    caps = iter(EARLY_APG_CAPS)
     lam = config.lambda0
-    while lam <= config.lambda_max:
-        level = level_configs[len(steps)] if len(steps) < len(level_configs) else config
-        x, inner = _apg(instance, v, lam, config.mu, x, level)
+    while lam <= config.lambda_max * (1 + 1e-9):
+        x, inner = _apg(instance, v, lam, config.mu, x, next(caps, config.apg_max_iters))
         v = update_v(x, instance.power)
         gap = instance.power - x @ v
         objective = smoothed_objective(instance, x, config.mu) + lam * gap
@@ -347,5 +355,4 @@ def falm_solve(
             trace_file.write(f"{len(steps)},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
         lam *= config.delta
 
-    x_q = quantize_one_bit(x, instance.power)
-    return SolveReport(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps, t_star)
+    return SolveReport.quantized(instance, x, steps, t_star)

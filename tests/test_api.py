@@ -1,11 +1,15 @@
-"""The public API has no name that only the tests use, and no module
-reaches into another's private names."""
+"""The public API has no name that only the tests use, no module reaches
+into another's private names, and the calls the benchmark makes still work."""
 
 import ast
+import io
 import re
 from pathlib import Path
 
+import numpy as np
+
 import onebit_precoding
+from onebit_precoding import build_instance, draw_channel, draw_symbols, falm_solve, min_margin, msm_precode
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(onebit_precoding.__file__).resolve().parent
@@ -40,3 +44,17 @@ def test_no_module_imports_another_modules_private_name():
                     f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_benchmark_call_contract():
+    """perfbench's tracer calls falm_solve(instance, config, init,
+    trace_file) positionally, takes each outer step's APG count from the
+    trace's last column, and reads the margin of msm_precode's report."""
+    rng = np.random.default_rng(5)
+    instance = build_instance(draw_channel(3, 6, rng), draw_symbols(8, 3, rng), 8, 1.0)
+    log = io.StringIO()
+    report = falm_solve(instance, None, None, log)
+    inner = [int(row.rsplit(",", 1)[1]) for row in log.getvalue().splitlines()[1:]]
+    assert inner == [s.apg_iterations for s in report.steps]
+    msm = msm_precode(instance)
+    assert msm.margin == min_margin(instance, msm.x_onebit.x_real)

@@ -13,6 +13,7 @@ from onebit_precoding import (
     available_precoders,
     build_instance,
     draw_channel,
+    falm_solve,
     get_precoder,
     min_margin,
     msm_precode,
@@ -232,6 +233,19 @@ class TestMsmPrecode:
         assert report.margin == pytest.approx(
             min_margin(instance, report.x_onebit.x_real), abs=0
         )
+
+    def test_is_falm_start_quantized(self):
+        """MSM's report is FALM's before its first outer iteration: the LP's
+        maximizer quantized, FALM's t* exactly, and no iterations."""
+        rng = np.random.default_rng(12)
+        for n_users, n_antennas in ((2, 2), (3, 6), (8, 32)):
+            H = draw_channel(n_users, n_antennas, rng)
+            instance = build_instance(H, rng.integers(0, 8, size=n_users), 8, 1.0)
+            report = msm_precode(instance)
+            x_lp = relaxed_lp(instance)[0]
+            np.testing.assert_array_equal(report.x_onebit.x_real, quantize_one_bit(x_lp, 1.0))
+            assert report.relaxed_optimum == falm_solve(instance).relaxed_optimum
+            assert report.outer_iterations == report.inner_iterations == 0
 
     def test_lp_failure_raises(self, monkeypatch):
         instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), 4, 1.0)

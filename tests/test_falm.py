@@ -26,7 +26,7 @@ def _penalized_value(instance, x, mu, lam, v):
     return smoothed_objective(instance, x, mu) + lam * (instance.power - x @ v)
 
 
-def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
+def reference_apg(instance, v, lam, mu, x_init, max_iters, exits=None):
     """The plain APG loop that ``falm._apg`` must reproduce bit for bit.
 
     It shares the lean loop's arithmetic: scores [forms @ p / mu; p . v]
@@ -67,7 +67,7 @@ def reference_apg(instance, v, lam, mu, x_init, config, exits=None):
     iterations = 0
     outcome = "cap"
 
-    for _ in range(config.apg_max_iters):
+    for _ in range(max_iters):
         iterations += 1
         _, e_y, total_y = evaluate(s_y)
         z = step_from(y, e_y, total_y)
@@ -238,9 +238,8 @@ class TestApg:
         c = 0.8
         h = np.array([[c + 0j]])
         inst = build_instance(h, np.array([0]), 2, 1.0)  # u = w = [-c, 0]
-        config = SolverConfig(apg_max_iters=5000)
         mu = 0.01
-        x = falm._apg(inst, np.zeros(2), 0.0, mu, np.zeros(2), config)[0]
+        x = falm._apg(inst, np.zeros(2), 0.0, mu, np.zeros(2), 5000)[0]
         a = inst.amplitude
         expected = -c * a + mu * np.log(2.0)
         assert smoothed_objective(inst, x, mu) == pytest.approx(expected, abs=1e-6)
@@ -249,13 +248,12 @@ class TestApg:
     def test_descent_contract_random_starts(self):
         rng = np.random.default_rng(10)
         inst = random_instance(rng)
-        config = SolverConfig(apg_max_iters=50)
         a = inst.amplitude
         for _ in range(100):
             v = update_v(rng.uniform(-a, a, size=6), 1.0)
             lam = rng.uniform(0.0, 10.0)
             x0 = rng.uniform(-a, a, size=6)
-            x = falm._apg(inst, v, lam, 0.01, x0, config)[0]
+            x = falm._apg(inst, v, lam, 0.01, x0, 50)[0]
             f0 = _penalized_value(inst, x0, 0.01, lam, v)
             f1 = _penalized_value(inst, x, 0.01, lam, v)
             assert f1 <= f0 + 1e-12
@@ -265,9 +263,8 @@ class TestApg:
         inst = random_instance(rng, n_users=3, n_antennas=2, order=4)
         mu, lam = 0.05, 0.5
         v = update_v(rng.uniform(-0.4, 0.4, size=4), 1.0)
-        config = SolverConfig(apg_max_iters=20000)
         monkeypatch.setattr(falm, "apg_tolerance", lambda instance: 1e-10)
-        x = falm._apg(inst, v, lam, mu, np.zeros(4), config)[0]
+        x = falm._apg(inst, v, lam, mu, np.zeros(4), 20000)[0]
 
         def batch_objective(points):
             z = points @ inst.forms.T / mu
@@ -283,7 +280,7 @@ class TestApg:
         # u_0 = [inf, 0] (forms[:1]), w_0 = [0, 0] (forms[1:])
         inst = PrecodingInstance(np.array([[np.inf, 0.0], [0.0, 0.0]]), power=1.0)
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure):
-            falm._apg(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig())
+            falm._apg(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig().apg_max_iters)
 
 
 class TestApgStep:
@@ -444,11 +441,11 @@ class TestApgMatchesReference:
         for _ in range(2):
             falm_solve(random_instance(rng, n_users=8, n_antennas=32, order=8))
         monkeypatch.undo()
-        (inst, v, lam, mu, _, config), x_stalled = stalls[0]
+        (inst, v, lam, mu, _, cap), x_stalled = stalls[0]
 
-        x, iterations = falm._apg(inst, v, lam, mu, x_stalled, config)
+        x, iterations = falm._apg(inst, v, lam, mu, x_stalled, cap)
         exits = []
-        x_ref, iterations_ref = reference_apg(inst, v, lam, mu, x_stalled, config, exits=exits)
+        x_ref, iterations_ref = reference_apg(inst, v, lam, mu, x_stalled, cap, exits=exits)
         assert exits == ["stall"]
         np.testing.assert_array_equal(x, x_ref)
         np.testing.assert_array_equal(x, x_stalled)
@@ -493,12 +490,11 @@ class TestApgMatchesReference:
         x0[0] = a
         full_tests = {}
         for cap in (1, 500):
-            config = SolverConfig(apg_max_iters=cap)
             counter = FullTestCounter()
             monkeypatch.setattr(falm, "np", counter)
-            x, iterations = falm._apg(inst, v, 10.0, 0.01, x0, config)
+            x, iterations = falm._apg(inst, v, 10.0, 0.01, x0, cap)
             monkeypatch.undo()
-            x_ref, iterations_ref = reference_apg(inst, v, 10.0, 0.01, x0, config)
+            x_ref, iterations_ref = reference_apg(inst, v, 10.0, 0.01, x0, cap)
             np.testing.assert_array_equal(x, x_ref)
             assert iterations == iterations_ref
             full_tests[cap] = counter.count
@@ -514,9 +510,9 @@ class TestApgMatchesReference:
             v = update_v(rng.uniform(-a, a, size=8), 1.0)
             lam = rng.uniform(0.0, 10.0)
             x0 = rng.uniform(-2 * a, 2 * a, size=8)
-            config = SolverConfig(apg_max_iters=1 + 25 * k)
-            x, iterations = falm._apg(inst, v, lam, 0.01, x0, config)
-            x_ref, iterations_ref = reference_apg(inst, v, lam, 0.01, x0, config)
+            cap = 1 + 25 * k
+            x, iterations = falm._apg(inst, v, lam, 0.01, x0, cap)
+            x_ref, iterations_ref = reference_apg(inst, v, lam, 0.01, x0, cap)
             np.testing.assert_array_equal(x, x_ref)
             assert iterations == iterations_ref
 
@@ -538,6 +534,18 @@ class TestFalmSolve:
         np.testing.assert_allclose([s.lam for s in report.steps], [0.01, 0.1, 1.0, 10.0, 100.0])
         assert report.outer_iterations == 5
         assert [s.apg_iterations for s in report.steps[:2]] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "lambda0, lambda_max, levels",
+        [(0.07, 700.0, 5), (0.07, 699.0, 4), (0.03, 300.0, 5)],
+    )
+    def test_level_count_survives_rounding(self, lambda0, lambda_max, levels):
+        """0.07 * 10^4 rounds to 700.0000000000001 > 700, yet it is the level
+        lambda_max names; 699 still stops at 70."""
+        inst = random_instance(np.random.default_rng(12))
+        config = SolverConfig(lambda0=lambda0, lambda_max=lambda_max, apg_max_iters=20)
+        lams = [s.lam for s in falm_solve(inst, config).steps]
+        assert lams == pytest.approx([lambda0 * 10.0**k for k in range(levels)], rel=1e-12)
 
     def test_output_is_exactly_one_bit(self):
         rng = np.random.default_rng(14)
@@ -576,7 +584,7 @@ class TestFalmSolve:
         v = np.zeros(6)
         for lam in (0.01, 0.1, 1.0, 10.0, 100.0):
             before = _penalized_value(inst, x, config.mu, lam, v)
-            x = falm._apg(inst, v, lam, config.mu, x, config)[0]
+            x = falm._apg(inst, v, lam, config.mu, x, config.apg_max_iters)[0]
             v = update_v(x, inst.power)
             after = _penalized_value(inst, x, config.mu, lam, v)
             assert after <= before + 1e-10
