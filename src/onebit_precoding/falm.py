@@ -14,7 +14,9 @@ x-update with the closed-form v-update v = sqrt(P) x / |x|, growing lambda
 geometrically until it crosses lambda_max; the iterate is then snapped onto
 the one-bit alphabet by componentwise sign (ties to +). It starts from the
 solution of the box-relaxed max-min-margin LP with v = 0, and its first two
-outer iterations take one APG iteration each.
+outer iterations take one APG iteration each. The APG step backtracks from a
+growing trial down to the floor 2/L, L = |forms|^2 / mu, which is also every
+call's first step.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ from .precoding import (
 # small-penalty levels approach, so more iterations there buy nothing.
 EARLY_APG_CAPS = (1, 1)
 
+# The APG step doubles after this many consecutive iterations without a
+# halving. Projections per solve (iterations, restarts and halvings) over 20
+# N=32, K=8 8-PSK instances: 1,003 at 1, 856 at 2, 779 at 5 and 811 at 10.
+STEP_GROWTH_ITERS = 5
+
 
 class SolverFailure(RuntimeError):
     """Raised when the solver encounters a non-finite objective."""
@@ -50,15 +57,16 @@ class SolverConfig:
 
     Defaults give the penalty trace 0.01, 0.1, 1, 10, 100 (five levels, one
     geometric update per outer iteration) before termination, each level one
-    APG call at the fixed step of ``apg_step``, capped by the entries of
-    ``EARLY_APG_CAPS`` in turn, then by apg_max_iters. A level runs while
-    lambda <= lambda_max up to a relative 1e-9, so rounding drops no level:
-    lambda0=0.07, lambda_max=700 runs five. The paper
-    runs 2,000 per level at step 1/L; the default 1,400 at the twice-larger
-    step reaches the same mean worst-user margin with about 70% of the
-    iterations at N=32 and N=128, and same-seed BER curves agree within
-    paired Monte-Carlo error. Each call also ends at the gradient-mapping
-    norm threshold of ``apg_tolerance``. Every value must be finite.
+    APG call, capped by the entries of ``EARLY_APG_CAPS`` in turn, then by
+    apg_max_iters. A call's first step is ``apg_step``, the floor of its
+    backtracking step rule (see ``_apg``). A level runs while lambda <=
+    lambda_max up to a relative 1e-9, so rounding drops no level:
+    lambda0=0.07, lambda_max=700 runs five. The paper runs 2,000 per level
+    at the fixed step 1/L. With the backtracking step a default solve at
+    N=32, K=8 runs ~650 iterations over its five levels and reaches no cap;
+    the 1,400 cap bounds the rest. Each call also ends at the
+    gradient-mapping norm threshold of ``apg_tolerance``. Every value must
+    be finite.
     """
 
     mu: float = 0.01
@@ -131,18 +139,20 @@ def smoothed_objective(instance: PrecodingInstance, x_real: np.ndarray, mu: floa
 
 
 def apg_step(instance: PrecodingInstance, mu: float) -> float:
-    """The fixed APG step 2/L, L = |forms|^2 / mu, with |.| the spectral norm.
+    """The floor and first step of the APG, 2/L, L = |forms|^2 / mu, with
+    |.| the spectral norm.
 
     The penalized surrogate's Hessian is (1/mu) F^T (diag(p) - p p^T) F, F
     the forms and p the softmax weights of the scores F x / mu; the penalty
     lam * (P - x . v) is linear in x and adds nothing. For a unit vector u,
     u^T (diag(p) - p p^T) u is the variance of u's entries under p, which
     Popoviciu's inequality bounds by (max u - min u)^2 / 4 <= 1/2. So the
-    gradient is Lipschitz with constant |F|^2 / (2 mu) = L / 2, and a step of
-    its inverse keeps the restart's plain projected-gradient step a descent
-    step (Beck & Teboulle, "A fast iterative shrinkage-thresholding
-    algorithm", SIAM J. Imaging Sci. 2009). It is exactly twice the 1/L of
-    the entropy-prox bound (Nesterov 2005).
+    gradient is Lipschitz with constant |F|^2 / (2 mu) = L / 2, and at a step
+    of its inverse the local quadratic bound that ``_apg`` tests for longer
+    steps holds everywhere, which keeps the restart's plain projected-gradient
+    step a descent step (Beck & Teboulle, "A fast iterative
+    shrinkage-thresholding algorithm", SIAM J. Imaging Sci. 2009). It is
+    exactly twice the 1/L of the entropy-prox bound (Nesterov 2005).
     """
     return 2.0 / (instance.spectral_norm ** 2 / mu)
 
@@ -181,29 +191,45 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
 
     Nesterov momentum is restarted whenever the accelerated step fails to
     decrease the objective, in which case a plain projected-gradient step is
-    taken instead (guaranteed descent at the step of ``apg_step``, the
-    inverse of the gradient's Lipschitz constant). Returns
-    (x, iterations), the iterations counting those the call ran; the
-    returned objective never exceeds the initial one.
+    taken from x instead. Returns (x, iterations), the iterations counting
+    those the call ran; the returned objective never exceeds the initial one.
+
+    The step s backtracks from a growing trial above the floor ``apg_step``,
+    the inverse of the gradient's Lipschitz constant. Every call starts at
+    the floor. A step s > floor from a point p (y, or x on a restart), with
+    z its projected step, is kept only under the local quadratic bound
+
+        value(z) <= value(p) + <grad(p), z - p> + |z - p|^2 / (2 s);
+
+    otherwise s = max(s / 2, floor) and only the projection is redone, with
+    the same gradient. At the floor the bound holds by ``apg_step``'s
+    Lipschitz argument and is not tested, so a kept step from x always
+    descends and the restart is a descent step. After ``STEP_GROWTH_ITERS``
+    consecutive iterations without a halving the step doubles (Beck &
+    Teboulle 2009; Scheinberg, Goldfarb & Bai, "Fast first-order methods for
+    composite convex optimization with backtracking", 2014).
 
     Every point p is kept with its scores s = [forms @ p / mu; p . v], one
     forward product against [forms / mu; v], and with e = exp(s[:2K] - max):
     the penalized value there is mu * (max + log(sum e)) + lam * (P - p . v).
     One transposed product against [forms^T | v] with the weights
-    [e; -lam * sum(e)] gives sum(e) times the gradient; the step size absorbs
-    the 1/sum(e). The momentum point y = x + beta (x - x_prev) takes its
-    scores s_x + beta (s_x - s_prev) by linearity, so an accepted iteration
-    costs one forward and one transposed product. The tolerance test
-    |y - z| / step <= tol first reads one probe rail, which decides it on
-    nearly every iteration without the norm. The plain loop kept as the
-    reference in tests/test_falm.py does the same arithmetic, and x and the
-    count match it bit for bit.
+    [e; -lam * sum(e)] gives g = sum(e) times the gradient; the step size
+    absorbs the 1/sum(e), and the bound's two inner products, <g, d> and
+    <d, d> with d = z - p, come from one product of the stacked [g; d] with
+    d. The momentum point y = x + beta (x - x_prev) takes its scores
+    s_x + beta (s_x - s_prev) by linearity, so an accepted iteration without
+    a halving costs one forward and one transposed product. The tolerance
+    test |y - z| <= tol * floor first reads one probe rail, which decides it
+    on nearly every iteration without the norm; |y - z| grows with the step,
+    so an exit there also has the floor's step within tolerance. The plain
+    loop kept as the reference in tests/test_falm.py does the same
+    arithmetic, and x and the count match it bit for bit.
 
     A call ends at the tolerance, after max_iters iterations, or when it
-    stalls: the plain step of a restart is rejected too. The step is fixed,
-    so a stall leaves (x, y = x, t = 1), from which every later iteration
-    would recompute the same rejected step; x is final. A non-finite value
-    at any point raises SolverFailure.
+    stalls: the plain step of a restart is rejected too, which happens only
+    at the floor. A stall leaves (x, y = x, t = 1), from which every later
+    iteration at the floor would recompute the same rejected step; x is
+    final. A non-finite value at any point raises SolverFailure.
     """
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
@@ -225,8 +251,11 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
     forward = np.asfortranarray(np.vstack([forms / mu, v]))
     transposed = np.asfortranarray(np.vstack([forms, v]).T)
 
-    step = apg_step(instance, mu)
-    limit = 2.0 * tol * step
+    floor = apg_step(instance, mu)
+    step = floor
+    calm = 0  # consecutive iterations without a halving
+    bound = tol * floor
+    limit = 2.0 * bound
     probe = 0
 
     def weigh(point):
@@ -240,46 +269,63 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
         total = dot(e, ones)
         return total, mu * (shift + log(total)) + lam * (power - point.s.item(m))
 
-    def descend(src, total):
+    def descend(src, total, value):
         """Gradient at src from its weights, then the projected gradient
-        step along it into z, scored; returns weigh(z), or raises
-        SolverFailure if its value is not finite. The box projection is
-        np.clip's result at about a third of its call overhead."""
-        w, zp = src.w, z.p
+        step along it into z, scored and halved until kept; returns
+        weigh(z), or raises SolverFailure if a value is not finite. The box
+        projection is np.clip's result at about a third of its call
+        overhead."""
+        nonlocal step, calm
+        w, p, zp = src.w, src.p, z.p
         w[m] = -lam * total
         dot(transposed, w, g)
-        multiply(g, step / total, zp)
-        subtract(src.p, zp, zp)
-        maximum(zp, lower, out=zp)
-        minimum(zp, upper, out=zp)
-        dot(forward, zp, z.s)
-        total_z, value_z = weigh(z)
-        if not isfinite(value_z):
-            raise SolverFailure("non-finite objective during APG iteration")
-        return total_z, value_z
+        while True:
+            multiply(g, step / total, zp)
+            subtract(p, zp, zp)
+            maximum(zp, lower, out=zp)
+            minimum(zp, upper, out=zp)
+            dot(forward, zp, z.s)
+            total_z, value_z = weigh(z)
+            if not isfinite(value_z):
+                raise SolverFailure("non-finite objective during APG iteration")
+            if step == floor:
+                return total_z, value_z
+            subtract(zp, p, d)
+            dot(gd, d, pair)
+            inner, square = pair.tolist()
+            if value_z <= value + inner / total + square / (2.0 * step):
+                return total_z, value_z
+            step = max(0.5 * step, floor)
+            calm = 0
 
     x, prev, z, y_slot = (_Point(n2, m) for _ in range(4))
-    g, d = np.empty(n2), np.empty(n2)
+    # g and the difference d, stacked for the bound's one product.
+    gd, pair = np.empty((2, n2)), np.empty(2)
+    g, d = gd
     minimum(maximum(np.asarray(x_init, dtype=float), lower), upper, out=x.p)
     dot(forward, x.p, x.s)
     sum_x, value_x = weigh(x)
     if not isfinite(value_x):
         raise SolverFailure("non-finite objective at the APG starting point")
-    y, sum_y = x, sum_x
+    y, sum_y, value_y = x, sum_x, value_x
     t = 1.0
     iterations = 0
 
     while iterations < max_iters:
+        if calm == STEP_GROWTH_ITERS:
+            step *= 2.0
+            calm = 0
         iterations += 1
-        sum_z, value_z = descend(y, sum_y)
+        calm += 1
+        sum_z, value_z = descend(y, sum_y, value_y)
 
-        # |y - z| / step <= tol needs |y_j - z_j| <= tol * step on every rail,
-        # so a probe rail beyond limit = 2 tol step (the 2 covers the norm's
-        # rounding) decides the test without it. Otherwise run the test, and
-        # probe the rail that moved most next.
+        # |y - z| <= tol * floor needs |y_j - z_j| <= tol * floor on every
+        # rail, so a probe rail beyond limit = 2 tol floor (the 2 covers the
+        # norm's rounding) decides the test without it. Otherwise run the
+        # test, and probe the rail that moved most next.
         if abs(y.p[probe] - z.p[probe]) <= limit:
             subtract(y.p, z.p, d)
-            if sqrt(dot(d, d)) / step <= tol:
+            if sqrt(dot(d, d)) <= bound:
                 if value_z <= value_x:
                     x = z
                 break
@@ -295,17 +341,17 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
             multiply(y.ps, (t - 1.0) / t_next, y.ps)
             add(y.ps, x.ps, y.ps)
             t = t_next
-            sum_y = weigh(y)[0]
+            sum_y, value_y = weigh(y)
             continue
 
         # Restart from x with a plain projected-gradient step; stall if it
         # is rejected too.
-        sum_z, value_z = descend(x, sum_x)
+        sum_z, value_z = descend(x, sum_x, value_x)
         if not value_z <= value_x:
             break
         x, z = z, x
         sum_x, value_x = sum_z, value_z
-        y, sum_y = x, sum_x
+        y, sum_y, value_y = x, sum_x, value_x
         t = 1.0
 
     return x.p.copy(), iterations

@@ -121,7 +121,8 @@ def test_criterion_04_gradient_matches_finite_differences():
     """The gradient FALM steps along is that of the penalized surrogate
     f(x) + lam * (P - x . v). One APG iteration from x with the box far away
     (P = 100 gives a >= 2.5 against |x| <= 0.5) is the plain step
-    x1 = x - step * grad, so (x - x1) / step is the solver's own gradient."""
+    x1 = x - step * grad at every call's first step, ``apg_step``, so
+    (x - x1) / step is the solver's own gradient."""
     rng = np.random.default_rng(404)
     v_rng = np.random.default_rng(405)
     mu, lam, power, step = 0.1, 1.0, 100.0, 1e-6

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: parsing, validation, subcommands,
 and the config round trip."""
 
+import functools
+
 import pytest
 
 from onebit_precoding import SolverConfig
@@ -270,11 +272,14 @@ class TestOtherCommands:
         assert 0 < margin <= t_star
         assert lines["margin / t*"].strip() == f"{margin / t_star:.3f}"
 
-    def test_solve_one_counts_apg_calls_at_the_cap(self, capsys, tmp_path):
-        """The count agrees with the trace's per-step iterations."""
+    def test_solve_one_counts_apg_calls_at_the_cap(self, capsys, tmp_path, monkeypatch):
+        """The count agrees with the trace's per-step iterations. The default
+        solve of seed 0 ends every call below the cap, so the CLI's solver
+        config gets a 20-iteration cap here, which later levels reach."""
+        cap = 20
+        monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, apg_max_iters=cap))
         trace = tmp_path / "trace.csv"
         assert main(["solve-one", "--seed", "0", "--trace", str(trace)]) == 0
-        cap = SolverConfig().apg_max_iters
         rows = trace.read_text().splitlines()[1:]
         at_cap = sum(int(row.rsplit(",", 1)[1]) == cap for row in rows)
         assert at_cap > 0

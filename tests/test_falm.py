@@ -2,6 +2,7 @@
 alternating-minimization solver."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,15 +27,27 @@ def _penalized_value(instance, x, mu, lam, v):
     return smoothed_objective(instance, x, mu) + lam * (instance.power - x @ v)
 
 
-def reference_apg(instance, v, lam, mu, x_init, max_iters, exits=None):
+class Projection(NamedTuple):
+    """One projected gradient step the reference took: from p at step size
+    ``step`` to z, and whether it was kept."""
+
+    p: np.ndarray
+    step: float
+    z: np.ndarray
+    kept: bool
+
+
+def reference_apg(instance, v, lam, mu, x_init, max_iters, exits=None, steps=None):
     """The plain APG loop that ``falm._apg`` must reproduce bit for bit.
 
     It shares the lean loop's arithmetic: scores [forms @ p / mu; p . v]
-    from one product, the momentum point's scores by linearity, and the
-    gradient times sum(e) from one transposed product. It evaluates the
+    from one product, the momentum point's scores by linearity, the
+    gradient times sum(e) from one transposed product, and the quadratic
+    bound's two inner products from one product of [g; d]. It evaluates the
     value and gradient afresh from the scores at every point. ``exits``, if
     given, collects how each call ended: "tolerance", "cap", or "stall" when
-    the plain step of a restart is rejected too.
+    the plain step of a restart is rejected too; ``steps``, if given,
+    collects every projection as a ``Projection``.
     """
     a = instance.amplitude
     m = 2 * instance.n_users
@@ -50,33 +63,53 @@ def reference_apg(instance, v, lam, mu, x_init, max_iters, exits=None):
         total = e @ np.ones(m)  # a BLAS dot, as in the loop
         return mu * (shift + math.log(total)) + lam * (instance.power - s[m]), e, total
 
-    step = falm.apg_step(instance, mu)
+    floor = falm.apg_step(instance, mu)
+    step = floor
+    calm = 0
 
-    def step_from(p, e, total):
-        """Projected gradient step from p and its scores."""
+    def step_from(p, s_p, value_p):
+        """Projected gradient step from p, halved until the quadratic bound
+        holds or the step is the floor; (z, its scores, its value)."""
+        nonlocal step, calm
+        _, e, total = evaluate(s_p)
         g = transposed @ np.append(e, -lam * total)
-        return np.clip(p - (step / total) * g, -a, a)
+        while True:
+            z = np.clip(p - (step / total) * g, -a, a)
+            s_z = forward @ z
+            value_z, _, _ = evaluate(s_z)
+            if not np.isfinite(value_z):
+                raise SolverFailure("non-finite objective during APG iteration")
+            kept = step == floor
+            if not kept:
+                d = z - p
+                inner, square = np.vstack([g, d]) @ d
+                kept = value_z <= value_p + inner / total + square / (2.0 * step)
+            if steps is not None:
+                steps.append(Projection(p, step, z, kept))
+            if kept:
+                return z, s_z, value_z
+            step = max(0.5 * step, floor)
+            calm = 0
 
     x = np.clip(np.asarray(x_init, dtype=float), -a, a)
     s_x = forward @ x
     value_x, _, _ = evaluate(s_x)
     if not np.isfinite(value_x):
         raise SolverFailure("non-finite objective at the APG starting point")
-    y, s_y = x, s_x
+    y, s_y, value_y = x, s_x, value_x
     t = 1.0
     iterations = 0
     outcome = "cap"
 
     for _ in range(max_iters):
+        if calm == falm.STEP_GROWTH_ITERS:
+            step *= 2.0
+            calm = 0
         iterations += 1
-        _, e_y, total_y = evaluate(s_y)
-        z = step_from(y, e_y, total_y)
-        s_z = forward @ z
-        value_z, _, _ = evaluate(s_z)
-        if not np.isfinite(value_z):
-            raise SolverFailure("non-finite objective during APG iteration")
+        calm += 1
+        z, s_z, value_z = step_from(y, s_y, value_y)
 
-        if np.linalg.norm(y - z) / step <= tol:
+        if np.linalg.norm(y - z) <= tol * floor:
             if value_z <= value_x:
                 x, value_x = z, value_z
             outcome = "tolerance"
@@ -89,19 +122,15 @@ def reference_apg(instance, v, lam, mu, x_init, max_iters, exits=None):
             beta = (t - 1.0) / t_next
             y = x + beta * (x - x_prev)
             s_y = s_x + beta * (s_x - s_prev)
+            value_y, _, _ = evaluate(s_y)
             t = t_next
         else:
-            _, e_x, total_x = evaluate(s_x)
-            z = step_from(x, e_x, total_x)
-            s_z = forward @ z
-            value_z, _, _ = evaluate(s_z)
-            if not np.isfinite(value_z):
-                raise SolverFailure("non-finite objective during APG iteration")
+            z, s_z, value_z = step_from(x, s_x, value_x)
             if not value_z <= value_x:
                 outcome = "stall"
                 break
             x, s_x, value_x = z, s_z, value_z
-            y, s_y = x, s_x
+            y, s_y, value_y = x, s_x, value_x
             t = 1.0
 
     if exits is not None:
@@ -398,9 +427,9 @@ class TestApgMatchesReference:
 
     def test_counts_are_the_iterations_run(self, monkeypatch):
         """Each outer step reports the iterations its APG call ran, stall
-        exits included. An iteration makes one forward product from its
-        momentum point, one more from x when it restarts, and one probe-rail
-        read, which is what is counted here."""
+        exits included. An iteration makes one forward product per
+        projection, of which halvings and a restart add more, but one
+        probe-rail read, which is what is counted here."""
         rng = np.random.default_rng(23)
         probe_reads = ProbeCounter()
         real_apg = falm._apg
@@ -423,9 +452,10 @@ class TestApgMatchesReference:
         assert "stall" in exits
 
     def test_stall_from_x_is_final(self, monkeypatch):
-        """A stalled call's x is final: a call started there has its first
-        step rejected, the restart's plain step from x is that same step,
-        and the call stalls after one iteration with x unchanged."""
+        """A stalled call's x is final: stalls happen at the floor, where a
+        call started there takes its first step, which is rejected; the
+        restart's plain step from x is that same step, and the call stalls
+        after one iteration with x unchanged."""
         rng = np.random.default_rng(23)
         real_apg = falm._apg
         stalls = []
@@ -515,6 +545,118 @@ class TestApgMatchesReference:
             x_ref, iterations_ref = reference_apg(inst, v, lam, 0.01, x0, cap)
             np.testing.assert_array_equal(x, x_ref)
             assert iterations == iterations_ref
+
+
+def logged_calls(monkeypatch, instances):
+    """falm_solve on each instance with every APG call run by the lean loop
+    and by the reference, which must agree bit for bit; returns one
+    (args, exit, projections) triple per call. It undoes every patch."""
+    calls = []
+    real_apg = falm._apg
+
+    def logged_apg(*args):
+        exits, steps = [], []
+        x_ref, iterations_ref = reference_apg(*args, exits=exits, steps=steps)
+        x, iterations = real_apg(*args)
+        np.testing.assert_array_equal(x, x_ref)
+        assert iterations == iterations_ref
+        calls.append((args, exits[0], steps))
+        return x, iterations
+
+    monkeypatch.setattr(falm, "_apg", logged_apg)
+    for inst in instances:
+        falm_solve(inst)
+    monkeypatch.undo()
+    return calls
+
+
+def penalized_gradient(instance, x, mu, lam, v):
+    """The gradient of f(x) + lam * (P - x . v), from the softmax weights."""
+    s = instance.forms @ x / mu
+    p = np.exp(s - s.max())
+    return instance.forms.T @ (p / p.sum()) - lam * v
+
+
+class TestStepRule:
+    """The backtracking step: each call starts at the floor ``apg_step``,
+    halves a trial that breaks the local quadratic bound down to no lower
+    than the floor, and exits on a tolerance the floor's step meets too.
+    The projections are the reference's, which each test also checks
+    against the lean loop."""
+
+    def test_every_call_starts_at_the_floor(self, monkeypatch):
+        """Steps grow to 8x the floor and more within calls, yet every call's
+        first step is exactly the floor, which criterion 4 relies on."""
+        rng = np.random.default_rng(40)
+        instances = [random_instance(rng, n_users=8, n_antennas=32, order=8) for _ in range(2)]
+        largest = 1.0
+        for (inst, _, _, mu, _, _), _, steps in logged_calls(monkeypatch, instances):
+            floor = falm.apg_step(inst, mu)
+            assert steps[0].step == floor
+            largest = max(largest, max(proj.step for proj in steps) / floor)
+        assert largest >= 8
+        # One iteration from inside the box, right after a longer call on
+        # the same instance, is the plain step x - apg_step * grad.
+        inst = instances[0]
+        a = inst.amplitude
+        for _ in range(10):
+            v = update_v(rng.uniform(-a, a, size=64), 1.0)
+            lam = rng.uniform(0.0, 10.0)
+            x0 = rng.uniform(-0.5 * a, 0.5 * a, size=64)
+            falm._apg(inst, v, lam, 0.01, x0, 200)
+            x1, iterations = falm._apg(inst, v, lam, 0.01, x0, 1)
+            grad = penalized_gradient(inst, x0, 0.01, lam, v)
+            expected = np.clip(x0 - falm.apg_step(inst, 0.01) * grad, -a, a)
+            assert iterations == 1 and not np.array_equal(x1, x0)
+            np.testing.assert_allclose(x1, expected, rtol=0, atol=1e-13 * a)
+
+    def test_kept_steps_satisfy_the_quadratic_bound(self, monkeypatch):
+        """Every kept step above the floor satisfies value(z) <= value(p) +
+        <grad(p), z - p> + |z - p|^2 / (2 s), evaluated here afresh; every
+        step is the floor times a power of two, never below it."""
+        rng = np.random.default_rng(41)
+        instances = [random_instance(rng, n_users=8, n_antennas=32, order=8) for _ in range(2)]
+        instances += [random_instance(rng, n_users=4, n_antennas=8, order=8) for _ in range(4)]
+        kept_above = halved = 0
+        for (inst, v, lam, mu, _, _), _, steps in logged_calls(monkeypatch, instances):
+            floor = falm.apg_step(inst, mu)
+            for proj in steps:
+                assert proj.step >= floor and math.log2(proj.step / floor).is_integer()
+                halved += not proj.kept
+                if not proj.kept or proj.step == floor:
+                    continue
+                kept_above += 1
+                value_p = _penalized_value(inst, proj.p, mu, lam, v)
+                grad, d = penalized_gradient(inst, proj.p, mu, lam, v), proj.z - proj.p
+                model = value_p + grad @ d + d @ d / (2 * proj.step)
+                value_z = _penalized_value(inst, proj.z, mu, lam, v)
+                assert value_z <= model + 1e-12 * (1 + abs(value_p))
+        assert kept_above > 1000 and halved > 100
+
+    def test_tolerance_exit_holds_at_the_floor(self, monkeypatch):
+        """A tolerance exit from y at step s has |y - z_s| <= tol * apg_step,
+        and so |y - z_floor| / apg_step <= tol for the floor's projected step
+        z_floor, evaluated here afresh: |y - z| grows with the step. Without
+        clipping |y - z_s| / s is the floor's ratio, so an exit test against
+        tol * s would let the iterate move s / apg_step times farther. A
+        loose tolerance gives exits at steps above the floor."""
+        rng = np.random.default_rng(42)
+        instances = [random_instance(rng, n_users=4, n_antennas=8, order=8) for _ in range(6)]
+        monkeypatch.setattr(falm, "apg_tolerance", lambda instance: 1e-3)
+        calls = logged_calls(monkeypatch, instances)
+        above = 0
+        for (inst, v, lam, mu, _, _), exit_kind, steps in calls:
+            if exit_kind != "tolerance":
+                continue
+            floor = falm.apg_step(inst, mu)
+            last = steps[-1]
+            above += last.step > floor
+            assert np.linalg.norm(last.p - last.z) <= 1e-3 * floor
+            a = inst.amplitude
+            grad = penalized_gradient(inst, last.p, mu, lam, v)
+            z_floor = np.clip(last.p - floor * grad, -a, a)
+            assert np.linalg.norm(last.p - z_floor) / floor <= 1e-3
+        assert above >= 5
 
 
 class TestFalmSolve:
