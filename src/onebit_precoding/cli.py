@@ -117,6 +117,8 @@ def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
     order, solver = _system_from_args(args)
     snr = parse_snr(args.snr)
     precoders = tuple(p.strip() for p in args.precoders.split(",") if p.strip())
+    if not precoders:
+        raise CliError(f"--precoders must name at least one precoder, got {args.precoders!r}")
     for flag in ("block", "trials", "workers"):
         check_count(flag, getattr(args, flag))
     check_count("seed", args.seed, least=0)
@@ -251,12 +253,18 @@ def _cmd_verify_sep(args) -> int:
     return 0 if all_ok else 1
 
 
+def seed_instance(seed, n_antennas, n_users, order, power):
+    """The instance a seed names in solve-one and oracle-compare: its
+    channel, then its symbols, drawn from substream(seed, 0)."""
+    rng = substream(seed, 0)
+    H = draw_channel(n_users, n_antennas, rng)
+    return build_instance(H, draw_symbols(order, n_users, rng), order, power)
+
+
 def _cmd_solve_one(args) -> int:
     order, config = _system_from_args(args)
     check_count("seed", args.seed, least=0)
-    H = draw_channel(args.users, args.antennas, substream(args.seed, 0))
-    symbols = draw_symbols(order, args.users, substream(args.seed, 1))
-    instance = build_instance(H, symbols, order, args.power)
+    instance = seed_instance(args.seed, args.antennas, args.users, order, args.power)
     if args.trace is None:
         report = falm_solve(instance, config)
     else:
@@ -278,16 +286,13 @@ def _cmd_solve_one(args) -> int:
 
 
 def oracle_counts(seeds, n_antennas, n_users, order, power, config=None) -> tuple:
-    """FALM against the enumerated optimum on the instance of each seed, drawn
-    from substream(seed, 0). Returns how many seeds come within the 5%
-    gap of the optimum, how many reach it, how many have a negative
-    optimum, and how many of those come within the gap. A margin above the
-    optimum raises RuntimeError."""
+    """FALM against the enumerated optimum on the instance of each seed.
+    Returns how many seeds come within the 5% gap of the optimum, how many
+    reach it, how many have a negative optimum, and how many of those come
+    within the gap. A margin above the optimum raises RuntimeError."""
     hits = exact = negative = negative_hits = 0
     for seed in seeds:
-        rng = substream(seed, 0)
-        H = draw_channel(n_users, n_antennas, rng)
-        instance = build_instance(H, draw_symbols(order, n_users, rng), order, power)
+        instance = seed_instance(seed, n_antennas, n_users, order, power)
         margin = falm_solve(instance, config).margin
         optimum = optimal_onebit_margin(instance)
         if margin > optimum + 1e-9:

@@ -15,8 +15,9 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -209,28 +210,25 @@ def _realization_counts(spec: ExperimentSpec, realization: int) -> RealizationCo
     return RealizationCounts(bit_errors, symbol_errors, ok_instances, failures, seconds)
 
 
-def _realization_worker(spec: ExperimentSpec, realization: int) -> RealizationCounts:
-    """_realization_counts, with an exception that escapes it (precoder
-    exceptions do not: they count as failures) re-raised as an error naming
-    the realization. Module level, so a process pool can pickle it."""
-    try:
-        return _realization_counts(spec, realization)
-    except Exception as exc:
-        raise RuntimeError(f"realization {realization} failed: {exc!r}") from exc
-
-
 def realization_counts(spec: ExperimentSpec) -> Iterator[RealizationCounts]:
-    """Yield each realization's counts in realization order, computed by up
-    to ``spec.n_workers`` processes."""
-    worker = partial(_realization_worker, spec)
+    """Yield each realization's counts in realization order, computed in
+    this process with one worker and by a pool of up to ``spec.n_workers``
+    processes with more. An exception that escapes a realization (precoder
+    exceptions do not: they count as failures), or a failure of the pool
+    itself, is re-raised as an error naming the realization."""
+    count = partial(_realization_counts, spec)
+    realizations = range(spec.n_realizations)
     # A pool may start all its workers at the first submit, so it gets no
     # more than there are realizations.
     workers = min(spec.n_workers, spec.n_realizations)
-    if workers == 1:
-        yield from map(worker, range(spec.n_realizations))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(worker, range(spec.n_realizations))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        parts = (map if pool is None else pool.map)(count, realizations)
+        for r in realizations:
+            try:
+                part = next(parts)
+            except Exception as exc:
+                raise RuntimeError(f"realization {r} failed: {exc!r}") from exc
+            yield part
 
 
 def error_rates(spec: ExperimentSpec, bit_errors, symbol_errors, ok_instances) -> tuple:
@@ -251,14 +249,9 @@ def run_experiment(spec: ExperimentSpec) -> list:
     """Run the Monte-Carlo sweep and return one BerRecord per
     (precoder, SNR), in spec order: the realizations' counts merged in
     realization order."""
-    totals = None
-    for part in realization_counts(spec):
-        if totals is None:
-            totals = [np.array(x, copy=True) for x in part]
-        else:
-            for acc, x in zip(totals, part):
-                acc += x
-    bit_errors, symbol_errors, ok_instances, failures, seconds = totals
+    bit_errors, symbol_errors, ok_instances, failures, seconds = reduce(
+        lambda total, part: [t + x for t, x in zip(total, part)], realization_counts(spec)
+    )
     ber, ser, worst = error_rates(spec, bit_errors, symbol_errors, ok_instances)
     bps = MpskConstellation(spec.order).bits_per_symbol
     return [

@@ -100,6 +100,8 @@ class PrecodingInstance:
         forms = np.array(self.forms, dtype=float)  # own copy, frozen below
         if forms.ndim != 2 or forms.shape[0] % 2 != 0 or forms.shape[1] % 2 != 0:
             raise ValueError(f"forms must be a 2K x 2N array, got shape {forms.shape}")
+        if not 0 < self.power < np.inf:  # written so that NaN fails too
+            raise ValueError(f"power must be positive and finite, got {self.power}")
         forms.flags.writeable = False
         object.__setattr__(self, "forms", forms)
 
@@ -123,8 +125,8 @@ class PrecodingInstance:
 def build_instance(H: np.ndarray, symbols, order: int, power: float) -> PrecodingInstance:
     """Build the per-symbol-time margin forms from a channel and symbol row.
 
-    ``symbols`` holds one constellation index per user. For order 2 the
-    rotation term vanishes (cot = 0) and u = w = -b.
+    ``symbols`` holds one constellation index in [0, order) per user. For
+    order 2 the rotation term vanishes (cot = 0) and u = w = -b.
     """
     H = np.asarray(H)
     symbols = np.asarray(symbols)
@@ -132,6 +134,8 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
         raise ValueError(
             f"symbols shape {symbols.shape} does not match {H.shape[0]} users"
         )
+    if not np.all((0 <= symbols) & (symbols < order)):
+        raise ValueError(f"symbol indices must lie in [0, {order}), got {symbols}")
     s = np.exp(2j * np.pi * symbols / order)
     g = np.conj(s)[:, None] * H  # row i is s_i* h_i^T
     b = np.concatenate([g.real, -g.imag], axis=1)

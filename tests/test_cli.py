@@ -5,7 +5,7 @@ import functools
 
 import pytest
 
-from onebit_precoding import SolverConfig
+from onebit_precoding import SolverConfig, falm_solve
 from onebit_precoding import cli
 from onebit_precoding.cli import (
     WORKERS_ENV,
@@ -50,7 +50,7 @@ class TestParsers:
         assert parse_snr("12") == (12.0,)
 
     def test_snr_errors(self):
-        for bad in ("0:0:10", "abc", "1:2", "5:-1:0", "10,nan", "nan,10", "-inf", "0:5:inf"):
+        for bad in ("0:0:10", "abc", "1:2", "5:-1:0", "5:1:0", "10,nan", "nan,10", "-inf", "0:5:inf"):
             with pytest.raises(CliError, match="--snr"):
                 parse_snr(bad)
 
@@ -285,6 +285,41 @@ class TestOtherCommands:
         assert at_cap > 0
         assert f"apg calls at cap:  {at_cap} of 5 (cap {cap})" in capsys.readouterr().out
 
+    def test_solve_one_runtime_failure_exits_1(self, tmp_path, capsys):
+        """A failure that is not a usage error, here a trace file that
+        cannot be opened, exits 1 with the error printed."""
+        trace = tmp_path / "missing" / "trace.csv"
+        assert main(["solve-one", *SMALL, "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solve_one_seed_names_the_oracle_compare_instance(self, capsys, monkeypatch):
+        """solve-one with oracle-compare's flags solves the instance that
+        oracle-compare solves for the same seed. At seed 3, symbols drawn
+        from a stream other than the channel's give another instance."""
+        margins = []
+
+        def recording_solve(instance, config=None):
+            report = falm_solve(instance, config)
+            margins.append(report.margin)
+            return report
+
+        monkeypatch.setattr(cli, "falm_solve", recording_solve)
+        seeds = range(6)
+        cli.oracle_counts(seeds, 2, 2, 4, 1.0, SolverConfig())
+        monkeypatch.undo()
+        capsys.readouterr()
+        for seed, margin in zip(seeds, margins):
+            flags = ["--antennas", "2", "--users", "2", "--mod", "psk4", "--seed", str(seed)]
+            assert main(["solve-one", *flags]) == 0
+            assert f"margin:            {margin:.6f}\n" in capsys.readouterr().out
+
+    def test_oracle_margin_above_optimum_raises(self, monkeypatch):
+        """A margin above the enumerated optimum is a solver or oracle
+        fault, never a count."""
+        monkeypatch.setattr(cli, "optimal_onebit_margin", lambda instance: -1.0)
+        with pytest.raises(RuntimeError, match="seed 0: solver margin .* exceeds"):
+            cli.oracle_counts(range(1), 2, 2, 4, 1.0)
+
     def test_oracle_compare(self, capsys):
         code = main(
             ["oracle-compare", "--antennas", "1", "--users", "1", "--mod", "psk4",
@@ -337,6 +372,7 @@ class TestOtherCommands:
             ("solve-one", [*SMALL, "--mu", "inf"], "invalid solver parameter: mu"),
             ("run", [*SMALL_RUN, "--lambda-max", "inf"], "invalid solver parameter: lambda_max"),
             ("run", [*SMALL_RUN, "--lambda0", "nan"], "invalid solver parameter: lambda0"),
+            ("run", ["--precoders", ","], "--precoders"),
         ],
     )
     def test_rejects_bad_dimensions(self, tmp_path, capsys, command, flags, named):

@@ -306,10 +306,18 @@ class TestApg:
         assert achieved == pytest.approx(oracle_val, abs=1e-3)
 
     def test_failure_on_non_finite_objective(self):
-        # u_0 = [inf, 0] (forms[:1]), w_0 = [0, 0] (forms[1:])
-        inst = PrecodingInstance(np.array([[np.inf, 0.0], [0.0, 0.0]]), power=1.0)
-        with np.errstate(invalid="ignore"), pytest.raises(SolverFailure):
-            falm._apg(inst, np.zeros(2), 0.0, 0.01, np.ones(2), SolverConfig().apg_max_iters)
+        cases = [
+            # u_0 = [inf, 0] (forms[:1]), w_0 = [0, 0] (forms[1:])
+            ([[np.inf, 0.0], [0.0, 0.0]], [0.0, 0.0], 0.0, [1.0, 1.0], "at the APG starting point"),
+            # Finite at x = 0, but the penalty's gradient pushes every rail
+            # to +a = 0.5, where p . v = 4 * 0.5e308 overflows.
+            ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], [1e308] * 4, 1.0, [0.0] * 4,
+             "during APG iteration"),
+        ]
+        for forms, v, lam, x_init, where in cases:
+            inst = PrecodingInstance(np.array(forms), power=1.0)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverFailure, match=where):
+                falm._apg(inst, np.array(v), lam, 0.01, np.array(x_init), SolverConfig().apg_max_iters)
 
 
 class TestApgStep:

@@ -3,6 +3,7 @@ error accounting, and CSV output."""
 
 import dataclasses
 import logging
+import os
 import types
 
 import numpy as np
@@ -241,6 +242,21 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "paired_streams", streams)
         spec = make_spec(n_realizations=3, n_workers=n_workers)
         with pytest.raises(RuntimeError, match=r"realization 1 failed: ValueError\('bad draw'\)"):
+            run_experiment(spec)
+
+    def test_dead_worker_is_named(self, monkeypatch):
+        """A worker process that dies breaks the pool; the error names the
+        first realization left without counts."""
+        real_streams = harness.paired_streams
+
+        def streams(base_seed, realization, t, params, order):
+            if realization == 1:
+                os._exit(1)
+            return real_streams(base_seed, realization, t, params, order)
+
+        monkeypatch.setattr(harness, "paired_streams", streams)
+        spec = make_spec(n_realizations=3, n_workers=2)
+        with pytest.raises(RuntimeError, match=r"realization \d+ failed: BrokenProcessPool"):
             run_experiment(spec)
 
     def test_zero_forcing_fails_when_users_exceed_antennas(self):
@@ -544,6 +560,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="base_seed"):
             make_spec(base_seed=-1)
 
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="n_workers"):
+            make_spec(n_workers=0)
+
     def test_rejects_empty_precoders(self):
         with pytest.raises(ValueError):
             make_spec(precoder_ids=())
@@ -601,5 +621,6 @@ class TestCsv:
         assert harness.format_snr(3.00000049) == "3.00000049"
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            BerRecord("zf", 0.0, 1.5, 0.2, 0.1, 1, 1, 1, 0, 0.0)
+        for ber, ser, rate in ((1.5, 0.2, "ber"), (0.1, -0.2, "ser")):
+            with pytest.raises(ValueError, match=f"{rate} out of range"):
+                BerRecord("zf", 0.0, ber, ser, 0.1, 1, 1, 1, 0, 0.0)

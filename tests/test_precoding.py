@@ -88,6 +88,12 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_instance(np.eye(3, dtype=complex), np.array([0, 1]), 4, 1.0)
 
+    @pytest.mark.parametrize("symbols", [[0, 1, 9], [0, -1, 7], [8, 0, 0]])
+    def test_out_of_range_symbols_raise(self, symbols):
+        """An index outside [0, M) is an error, not wrapped onto the circle."""
+        with pytest.raises(ValueError, match=r"symbol indices must lie in \[0, 8\)"):
+            build_instance(np.eye(3, dtype=complex), np.array(symbols), 8, 1.0)
+
     def test_instance_arrays_read_only(self):
         rng = np.random.default_rng(2)
         _, _, inst = random_instance(rng)
@@ -98,6 +104,13 @@ class TestBuildInstance:
     def test_instance_rejects_odd_shapes(self, shape):
         with pytest.raises(ValueError):
             PrecodingInstance(np.zeros(shape), 1.0)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, np.nan, np.inf])
+    def test_instance_rejects_bad_power(self, power):
+        """At P = 0 the one-bit alphabet collapses to 0; a negative or NaN
+        power has no amplitude, and at P = inf the LP is unbounded."""
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            PrecodingInstance(np.zeros((2, 2)), power)
 
 
 class TestSafetyMargin:
@@ -208,8 +221,14 @@ class TestOneBitVector:
             assert np.sum(np.abs(v.to_complex()) ** 2) == pytest.approx(power, rel=1e-12)
 
     def test_rejects_off_alphabet_entries(self):
-        with pytest.raises(ValueError):
-            OneBitVector(np.array([0.5, -0.5, 0.5, 0.1]), 1.0)
+        cases = [
+            ([0.5, -0.5, 0.5, 0.1], "magnitude"),
+            ([0.5, -0.5, 0.5], "flat 2N vector"),
+            ([[0.5, -0.5], [0.5, -0.5]], "flat 2N vector"),
+        ]
+        for x_real, message in cases:
+            with pytest.raises(ValueError, match=message):
+                OneBitVector(np.array(x_real), 1.0)
 
     def test_amplitude(self):
         assert one_bit_amplitude(1.0, 128) == pytest.approx(np.sqrt(1.0 / 256.0))
