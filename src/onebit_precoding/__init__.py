@@ -23,7 +23,7 @@ from .falm import (
     smoothed_objective,
     update_v,
 )
-from .harness import BerRecord, ExperimentSpec, paired_streams, run_experiment, write_csv
+from .harness import BerRecord, ExperimentSpec, paired_streams, run_experiment
 from .precoding import (
     OneBitVector,
     PrecodingInstance,
@@ -68,7 +68,6 @@ __all__ = [
     "to_complex",
     "to_real",
     "update_v",
-    "write_csv",
     "zf_onebit",
     "zf_precode",
 ]

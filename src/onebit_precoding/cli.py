@@ -17,6 +17,7 @@ so the comment header of a results CSV is itself a valid config file and
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import math
 import os
@@ -28,7 +29,7 @@ import numpy as np
 from .baselines import available_precoders
 from .channel import draw_channel, draw_symbols, substream
 from .falm import SolverConfig, falm_solve
-from .harness import ExperimentSpec, format_snr, run_experiment, write_csv
+from .harness import ExperimentSpec, run_experiment
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
 from .sep_analysis import run_verification
 
@@ -86,6 +87,13 @@ def parse_snr(text: str) -> tuple:
     if count < 1:
         raise CliError(f"--snr range {text!r} is empty")
     return tuple(start + step * k for k in range(count))
+
+
+def format_snr(snr_db: float) -> str:
+    """An SNR point as CSV text: ':g' where that reads back as the same
+    float, repr otherwise, so a replay sweeps exactly the recorded points."""
+    text = f"{snr_db:g}"
+    return text if float(text) == snr_db else repr(float(snr_db))
 
 
 def check_count(flag: str, value: int, least: int = 1) -> None:
@@ -148,6 +156,46 @@ def run_header(args: argparse.Namespace) -> dict:
     header = {key: getattr(args, key.replace("-", "_")) for key in RUN_KEYS}
     header["snr"] = ",".join(format_snr(v) for v in parse_snr(args.snr))
     return header
+
+
+CSV_COLUMNS = (
+    "precoder",
+    "snr_db",
+    "ber",
+    "ser",
+    "worst_user_ber",
+    "bits",
+    "symbols",
+    "realizations",
+    "failures",
+    "wall_time_s",
+)
+
+
+def write_csv(records, path: str, header: dict):
+    """Write records under the resolved-config comment header. Field
+    formatting is fixed so replays are byte-identical apart from
+    wall_time_s."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for key, value in header.items():
+            fh.write(f"# {key} = {value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in records:
+            writer.writerow(
+                [
+                    r.precoder,
+                    format_snr(r.snr_db),
+                    f"{r.ber:.10e}",
+                    f"{r.ser:.10e}",
+                    f"{r.worst_user_ber:.10e}",
+                    r.bit_count,
+                    r.symbol_count,
+                    r.realization_count,
+                    r.failures,
+                    f"{r.wall_time_s:.3f}",
+                ]
+            )
 
 
 def _add_system_flags(parser, antennas: int, users: int, mod: str) -> None:

@@ -131,8 +131,8 @@ class SolveReport:
 def smoothed_objective(instance: PrecodingInstance, x_real: np.ndarray, mu: float) -> float:
     """Log-sum-exp upper surrogate of the negated worst-user margin,
     evaluated with max-subtraction so large |x|/mu cannot overflow."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:  # written so that NaN fails too
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     z = (instance.forms @ np.asarray(x_real, dtype=float)) / mu
     zmax = z.max()
     return float(mu * (zmax + np.log(np.exp(z - zmax).sum())))

@@ -10,7 +10,6 @@ spec replays to identical results, parallel or not.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -18,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -317,51 +316,3 @@ def compare_counts(spec: ExperimentSpec, counts_a, counts_b) -> list:
         for p, pid in enumerate(spec.precoder_ids)
         for s, snr in enumerate(spec.snr_db)
     ]
-
-
-CSV_COLUMNS = (
-    "precoder",
-    "snr_db",
-    "ber",
-    "ser",
-    "worst_user_ber",
-    "bits",
-    "symbols",
-    "realizations",
-    "failures",
-    "wall_time_s",
-)
-
-
-def format_snr(snr_db: float) -> str:
-    """An SNR point as CSV text: ':g' where that reads back as the same
-    float, repr otherwise, so a replay sweeps exactly the recorded points."""
-    text = f"{snr_db:g}"
-    return text if float(text) == snr_db else repr(float(snr_db))
-
-
-def write_csv(records, path: str, header: Optional[dict] = None):
-    """Write records with an optional resolved-config comment header. Field
-    formatting is fixed so replays are byte-identical apart from
-    wall_time_s."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header:
-            for key, value in header.items():
-                fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.precoder,
-                    format_snr(r.snr_db),
-                    f"{r.ber:.10e}",
-                    f"{r.ser:.10e}",
-                    f"{r.worst_user_ber:.10e}",
-                    r.bit_count,
-                    r.symbol_count,
-                    r.realization_count,
-                    r.failures,
-                    f"{r.wall_time_s:.3f}",
-                ]
-            )

@@ -29,7 +29,10 @@ MAX_ENUMERATED_ANTENNAS = 8
 
 
 def one_bit_amplitude(power: float, n_antennas: int) -> float:
-    """Per-rail amplitude sqrt(P/2N) of the one-bit transmit alphabet."""
+    """Per-rail amplitude sqrt(P/2N) of the one-bit transmit alphabet, and
+    the one check, for instances and vectors alike, of the power P."""
+    if not 0 < power < np.inf:  # written so that NaN fails too
+        raise ValueError(f"power must be positive and finite, got {power}")
     return float(np.sqrt(power / (2.0 * n_antennas)))
 
 
@@ -98,10 +101,10 @@ class PrecodingInstance:
 
     def __post_init__(self):
         forms = np.array(self.forms, dtype=float)  # own copy, frozen below
-        if forms.ndim != 2 or forms.shape[0] % 2 != 0 or forms.shape[1] % 2 != 0:
+        # K, N >= 1: no margin without a user, no amplitude sqrt(P/2N) without an antenna
+        if forms.ndim != 2 or forms.size == 0 or forms.shape[0] % 2 != 0 or forms.shape[1] % 2 != 0:
             raise ValueError(f"forms must be a 2K x 2N array, got shape {forms.shape}")
-        if not 0 < self.power < np.inf:  # written so that NaN fails too
-            raise ValueError(f"power must be positive and finite, got {self.power}")
+        one_bit_amplitude(self.power, forms.shape[1] // 2)  # the power check
         forms.flags.writeable = False
         object.__setattr__(self, "forms", forms)
 
@@ -134,6 +137,8 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
         raise ValueError(
             f"symbols shape {symbols.shape} does not match {H.shape[0]} users"
         )
+    if symbols.dtype.kind not in "iu":  # 0.5 or True is no constellation index
+        raise ValueError(f"symbol indices must be integers, got dtype {symbols.dtype}")
     if not np.all((0 <= symbols) & (symbols < order)):
         raise ValueError(f"symbol indices must lie in [0, {order}), got {symbols}")
     s = np.exp(2j * np.pi * symbols / order)

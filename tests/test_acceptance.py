@@ -24,9 +24,8 @@ from onebit_precoding import (
     smoothed_objective,
     substream,
     update_v,
-    write_csv,
 )
-from onebit_precoding.cli import oracle_counts
+from onebit_precoding.cli import oracle_counts, write_csv
 from onebit_precoding.falm import _apg, apg_step
 from onebit_precoding.sep_analysis import _implication_violations
 

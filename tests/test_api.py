@@ -1,9 +1,13 @@
 """The public API has no name that only the tests use, no module reaches
-into another's private names, and the calls the benchmark makes still work."""
+into another's private names, the package does not load its CLI, and the
+calls the benchmark makes still work."""
 
 import ast
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,18 @@ def test_no_module_imports_another_modules_private_name():
                     f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_package_import_leaves_the_cli_out():
+    """``import onebit_precoding`` in a fresh interpreter does not load
+    ``onebit_precoding.cli``, so nothing the CLI defines, such as its CSV
+    writer, reaches the package's namespace."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))  # this very package
+    probe = "import sys, onebit_precoding; print('onebit_precoding.cli' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_benchmark_call_contract():

@@ -219,8 +219,9 @@ class TestSmoothedObjective:
 
     def test_rejects_non_positive_mu(self):
         inst = random_instance(np.random.default_rng(4))
-        with pytest.raises(ValueError):
-            smoothed_objective(inst, np.zeros(6), 0.0)
+        for mu in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                smoothed_objective(inst, np.zeros(6), mu)
 
 
 class TestUpdateV:

@@ -15,10 +15,9 @@ from onebit_precoding import (
     SolverConfig,
     paired_streams,
     run_experiment,
-    write_csv,
 )
 from onebit_precoding import baselines, harness, precoding
-from onebit_precoding.harness import CSV_COLUMNS
+from onebit_precoding.cli import CSV_COLUMNS, format_snr, write_csv
 
 
 def make_spec(**overrides):
@@ -149,7 +148,7 @@ class TestRunExperiment:
                 solver=SolverConfig(apg_max_iters=30),
             )
             path = tmp_path / f"workers{n_workers}.csv"
-            write_csv(run_experiment(spec), str(path))
+            write_csv(run_experiment(spec), str(path), {})
             texts.append([line.rsplit(",", 1)[0] for line in path.read_text().splitlines()])
         assert texts[0] == texts[1]
         assert len(texts[0]) == 1 + 3 * 2
@@ -615,10 +614,10 @@ class TestCsv:
     def test_snr_text_round_trips(self):
         """':g' where it reads back exactly, so default headers keep their
         form; repr where it would round."""
-        assert [harness.format_snr(s) for s in (0.0, 25.0, -5.0, 2.5)] == ["0", "25", "-5", "2.5"]
+        assert [format_snr(s) for s in (0.0, 25.0, -5.0, 2.5)] == ["0", "25", "-5", "2.5"]
         for snr in (3.00000049, 0.1 * 3, 1e-7 + 20.0):
-            assert float(harness.format_snr(snr)) == snr
-        assert harness.format_snr(3.00000049) == "3.00000049"
+            assert float(format_snr(snr)) == snr
+        assert format_snr(3.00000049) == "3.00000049"
 
     def test_record_validation(self):
         for ber, ser, rate in ((1.5, 0.2, "ber"), (0.1, -0.2, "ser")):

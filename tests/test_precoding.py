@@ -94,13 +94,20 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=r"symbol indices must lie in \[0, 8\)"):
             build_instance(np.eye(3, dtype=complex), np.array(symbols), 8, 1.0)
 
+    @pytest.mark.parametrize("symbols", [[0.5, 1.0], [True, False]])
+    def test_non_integer_symbols_raise(self, symbols):
+        """0.5 is no constellation index (it would build a point between two
+        QPSK symbols), and neither is True."""
+        with pytest.raises(ValueError, match="symbol indices must be integers"):
+            build_instance(np.eye(2, dtype=complex), np.array(symbols), 4, 1.0)
+
     def test_instance_arrays_read_only(self):
         rng = np.random.default_rng(2)
         _, _, inst = random_instance(rng)
         with pytest.raises(ValueError):
             inst.forms[0, 0] = 1.0
 
-    @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (4,)])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (4,), (2, 0), (0, 2)])
     def test_instance_rejects_odd_shapes(self, shape):
         with pytest.raises(ValueError):
             PrecodingInstance(np.zeros(shape), 1.0)
@@ -111,6 +118,16 @@ class TestBuildInstance:
         power has no amplitude, and at P = inf the LP is unbounded."""
         with pytest.raises(ValueError, match="power must be positive and finite"):
             PrecodingInstance(np.zeros((2, 2)), power)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: OneBitVector(np.zeros(4), 0.0), lambda: quantize_one_bit(np.ones(4), -1.0)],
+        ids=["vector-at-zero-power", "quantize-at-negative-power"],
+    )
+    def test_one_bit_alphabet_rejects_bad_power(self, make):
+        """The alphabet's own constructors check the power as instances do."""
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            make()
 
 
 class TestSafetyMargin:
