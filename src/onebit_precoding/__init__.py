@@ -32,7 +32,6 @@ from .precoding import (
     one_bit_amplitude,
     point_margin,
     quantize_one_bit,
-    to_complex,
     to_real,
 )
 from .sep_analysis import empirical_sep
@@ -65,7 +64,6 @@ __all__ = [
     "sep_union_bound",
     "smoothed_objective",
     "substream",
-    "to_complex",
     "to_real",
     "update_v",
     "zf_onebit",

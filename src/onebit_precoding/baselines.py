@@ -13,9 +13,9 @@ from .falm import SolveReport, SolverConfig, falm_solve
 from .precoding import (
     PrecodingInstance,
     build_instance,
+    check_symbols,
     quantize_one_bit,
     relaxed_lp,
-    to_complex,
     to_real,
 )
 
@@ -29,7 +29,7 @@ def zf_precode(H: np.ndarray, symbols, constellation: MpskConstellation, power: 
     n_users, n_antennas = H.shape
     if n_users > n_antennas:
         raise ValueError(f"zero forcing needs K <= N, got K={n_users} > N={n_antennas}")
-    s = constellation.points[np.asarray(symbols)]
+    s = constellation.points[check_symbols(symbols, n_users, constellation.order)]
     x = H.conj().T @ np.linalg.solve(H @ H.conj().T, s)
     return np.sqrt(power) / np.linalg.norm(x) * x
 
@@ -38,7 +38,7 @@ def zf_onebit(H: np.ndarray, symbols, constellation: MpskConstellation, power: f
     """Zero forcing followed by componentwise one-bit quantization of the
     real and imaginary rails (ties to +)."""
     x = zf_precode(H, symbols, constellation, power)
-    return to_complex(quantize_one_bit(to_real(x), power))
+    return quantize_one_bit(to_real(x), power).to_complex()
 
 
 def msm_precode(instance: PrecodingInstance) -> SolveReport:

@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
@@ -313,11 +314,8 @@ def _cmd_solve_one(args) -> int:
     order, config = _system_from_args(args)
     check_count("seed", args.seed, least=0)
     instance = seed_instance(args.seed, args.antennas, args.users, order, args.power)
-    if args.trace is None:
-        report = falm_solve(instance, config)
-    else:
-        with open(args.trace, "w", encoding="utf-8") as trace:
-            report = falm_solve(instance, config, trace_file=trace)
+    with open(args.trace, "w", encoding="utf-8") if args.trace is not None else nullcontext() as trace:
+        report = falm_solve(instance, config, trace_file=trace)
     print(f"instance: N={args.antennas} K={args.users} M={order} P={args.power:g} seed={args.seed}")
     t_star = report.relaxed_optimum
     print(f"margin:            {report.margin:.6f}")

@@ -116,8 +116,8 @@ class SolveReport:
     def quantized(cls, instance: PrecodingInstance, x_real, steps: list, relaxed_optimum: float):
         """The report of the relaxed point x_real quantized componentwise by
         sign (ties to +)."""
-        x_q = quantize_one_bit(x_real, instance.power)
-        return cls(OneBitVector(x_q, instance.power), min_margin(instance, x_q), steps, relaxed_optimum)
+        x = quantize_one_bit(x_real, instance.power)
+        return cls(x, min_margin(instance, x.x_real), steps, relaxed_optimum)
 
     @property
     def outer_iterations(self) -> int:

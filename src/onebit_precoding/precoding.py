@@ -33,6 +33,8 @@ def one_bit_amplitude(power: float, n_antennas: int) -> float:
     the one check, for instances and vectors alike, of the power P."""
     if not 0 < power < np.inf:  # written so that NaN fails too
         raise ValueError(f"power must be positive and finite, got {power}")
+    if n_antennas < 1:
+        raise ValueError(f"the one-bit alphabet needs N >= 1 antennas, got N={n_antennas}")
     return float(np.sqrt(power / (2.0 * n_antennas)))
 
 
@@ -51,18 +53,12 @@ def to_real(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag])
 
 
-def to_complex(x_real: np.ndarray) -> np.ndarray:
-    """Inverse of to_real."""
+def quantize_one_bit(x_real: np.ndarray, power: float) -> OneBitVector:
+    """Snap a real 2N-vector onto the one-bit alphabet {+/- sqrt(P/2N)}^2N,
+    ties to +. The one constructor of OneBitVector in the package."""
     x_real = np.asarray(x_real, dtype=float)
-    n = x_real.shape[0] // 2
-    return x_real[:n] + 1j * x_real[n:]
-
-
-def quantize_one_bit(x_real: np.ndarray, power: float) -> np.ndarray:
-    """Snap a real 2N-vector onto the one-bit alphabet {+/- sqrt(P/2N)}^2N, ties to +."""
-    x_real = np.asarray(x_real, dtype=float)
-    a = one_bit_amplitude(power, x_real.shape[0] // 2)
-    return np.where(x_real >= 0, a, -a)
+    a = one_bit_amplitude(power, x_real.size // 2)
+    return OneBitVector(np.where(x_real >= 0, a, -a), power)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,9 @@ class OneBitVector:
         object.__setattr__(self, "x_real", x)
 
     def to_complex(self) -> np.ndarray:
-        return to_complex(self.x_real)
+        """The complex N-vector, inverse of to_real."""
+        n = self.x_real.shape[0] // 2
+        return self.x_real[:n] + 1j * self.x_real[n:]
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,19 @@ class PrecodingInstance:
         return float(np.linalg.norm(self.forms, 2))
 
 
+def check_symbols(symbols, n_users: int, order: int) -> np.ndarray:
+    """``symbols`` as an array, checked to hold one integer constellation
+    index in [0, order) per user, as every precoder needs."""
+    symbols = np.asarray(symbols)
+    if symbols.shape != (n_users,):
+        raise ValueError(f"symbols shape {symbols.shape} does not match {n_users} users")
+    if symbols.dtype.kind not in "iu":  # 0.5 or True is no constellation index
+        raise ValueError(f"symbol indices must be integers, got dtype {symbols.dtype}")
+    if not np.all((0 <= symbols) & (symbols < order)):
+        raise ValueError(f"symbol indices must lie in [0, {order}), got {symbols}")
+    return symbols
+
+
 def build_instance(H: np.ndarray, symbols, order: int, power: float) -> PrecodingInstance:
     """Build the per-symbol-time margin forms from a channel and symbol row.
 
@@ -132,15 +143,9 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
     order 2 the rotation term vanishes (cot = 0) and u = w = -b.
     """
     H = np.asarray(H)
-    symbols = np.asarray(symbols)
-    if symbols.shape != (H.shape[0],):
-        raise ValueError(
-            f"symbols shape {symbols.shape} does not match {H.shape[0]} users"
-        )
-    if symbols.dtype.kind not in "iu":  # 0.5 or True is no constellation index
-        raise ValueError(f"symbol indices must be integers, got dtype {symbols.dtype}")
-    if not np.all((0 <= symbols) & (symbols < order)):
-        raise ValueError(f"symbol indices must lie in [0, {order}), got {symbols}")
+    if H.ndim != 2:
+        raise ValueError(f"H must be a K x N channel matrix, got shape {H.shape}")
+    symbols = check_symbols(symbols, H.shape[0], order)
     s = np.exp(2j * np.pi * symbols / order)
     g = np.conj(s)[:, None] * H  # row i is s_i* h_i^T
     b = np.concatenate([g.real, -g.imag], axis=1)

@@ -1,6 +1,7 @@
 """The public API has no name that only the tests use, no module reaches
-into another's private names, the package does not load its CLI, and the
-calls the benchmark makes still work."""
+into another's private names, one function constructs every one-bit
+vector, the package does not load its CLI, and the calls the benchmark
+makes still work."""
 
 import ast
 import io
@@ -48,6 +49,26 @@ def test_no_module_imports_another_modules_private_name():
                     f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_one_bit_vectors_come_from_quantize_one_bit():
+    """``quantize_one_bit`` is the one place in the package that constructs
+    a ``OneBitVector``, so every one-bit transmit vector passes its check."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "quantize_one_bit"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "OneBitVector":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_package_import_leaves_the_cli_out():

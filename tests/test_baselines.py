@@ -243,7 +243,7 @@ class TestMsmPrecode:
             instance = build_instance(H, rng.integers(0, 8, size=n_users), 8, 1.0)
             report = msm_precode(instance)
             x_lp = relaxed_lp(instance)[0]
-            np.testing.assert_array_equal(report.x_onebit.x_real, quantize_one_bit(x_lp, 1.0))
+            np.testing.assert_array_equal(report.x_onebit.x_real, quantize_one_bit(x_lp, 1.0).x_real)
             assert report.relaxed_optimum == falm_solve(instance).relaxed_optimum
             assert report.outer_iterations == report.inner_iterations == 0
 
@@ -265,7 +265,7 @@ class TestMsmPrecode:
             reference = presolved_linprog(instance)
             assert reference.status == 0
             report = msm_precode(instance)
-            x_ref = quantize_one_bit(reference.x[: 2 * n_antennas], 1.0)
+            x_ref = quantize_one_bit(reference.x[: 2 * n_antennas], 1.0).x_real
             np.testing.assert_array_equal(report.x_onebit.x_real, x_ref)
             assert report.relaxed_optimum == pytest.approx(-reference.fun, abs=1e-9)
 
@@ -289,6 +289,23 @@ class TestRegistry:
         for pid in ("zf-ob", "msm", "falm"):
             x = get_precoder(pid)(H, symbols, c, 1.0)
             np.testing.assert_allclose(np.abs(to_real(x)), a, atol=0)
+
+    @pytest.mark.parametrize(
+        "symbols, message",
+        [
+            ([0, -1], r"symbol indices must lie in \[0, 4\)"),
+            ([0, 4], r"symbol indices must lie in \[0, 4\)"),
+            ([0.0, 1.0], "symbol indices must be integers"),
+            ([0, 1, 2], r"symbols shape \(3,\) does not match 2 users"),
+        ],
+        ids=["negative", "too-large", "float", "count"],
+    )
+    def test_every_precoder_checks_symbols(self, symbols, message):
+        """All four precoders reject the same symbol rows with the same
+        error: zero forcing sends no wrapped index such as -1 (symbol 3)."""
+        for pid in available_precoders():
+            with pytest.raises(ValueError, match=message):
+                get_precoder(pid)(np.eye(2, dtype=complex), np.array(symbols), MpskConstellation(4), 1.0)
 
     def test_register_custom_precoder(self, monkeypatch):
         def factory(config):

@@ -1,19 +1,22 @@
-"""Tests for the command-line interface: parsing, validation, subcommands,
-and the config round trip."""
+"""Tests for the command-line interface: parsing, validation, the results
+CSV, subcommands, and the config round trip."""
 
 import functools
 
 import pytest
 
-from onebit_precoding import SolverConfig, falm_solve
+from onebit_precoding import BerRecord, SolverConfig, falm_solve
 from onebit_precoding import cli
 from onebit_precoding.cli import (
+    CSV_COLUMNS,
     WORKERS_ENV,
     CliError,
+    format_snr,
     main,
     parse_modulation,
     parse_snr,
     read_config_file,
+    write_csv,
 )
 
 
@@ -63,6 +66,35 @@ class TestParsers:
     def test_missing_config_file(self):
         with pytest.raises(CliError):
             read_config_file("/nonexistent/path")
+
+
+class TestCsv:
+    def test_layout_and_header(self, tmp_path):
+        records = [
+            BerRecord("zf", 0.0, 0.1, 0.2, 0.15, 100, 50, 5, 0, 1.234),
+            BerRecord("zf", 10.0, 0.0, 0.0, 0.0, 100, 50, 5, 0, 1.234),
+        ]
+        path = tmp_path / "out.csv"
+        write_csv(records, str(path), header={"antennas": 8, "mod": "psk4"})
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# antennas = 8"
+        assert lines[1] == "# mod = psk4"
+        assert lines[2] == ",".join(CSV_COLUMNS)
+        assert lines[3].startswith("zf,0,1.0000000000e-01,2.0000000000e-01,")
+        assert len(lines) == 5
+
+    def test_snr_text_round_trips(self):
+        """':g' where it reads back exactly, so default headers keep their
+        form; repr where it would round."""
+        assert [format_snr(s) for s in (0.0, 25.0, -5.0, 2.5)] == ["0", "25", "-5", "2.5"]
+        for snr in (3.00000049, 0.1 * 3, 1e-7 + 20.0):
+            assert float(format_snr(snr)) == snr
+        assert format_snr(3.00000049) == "3.00000049"
+
+    def test_record_validation(self):
+        for ber, ser, rate in ((1.5, 0.2, "ber"), (0.1, -0.2, "ser")):
+            with pytest.raises(ValueError, match=f"{rate} out of range"):
+                BerRecord("zf", 0.0, ber, ser, 0.1, 1, 1, 1, 0, 0.0)
 
 
 class TestRunCommand:

@@ -1,5 +1,5 @@
-"""Tests for the Monte-Carlo experiment engine: pairing, determinism,
-error accounting, and CSV output."""
+"""Tests for the Monte-Carlo experiment engine: pairing, determinism and
+error accounting."""
 
 import dataclasses
 import logging
@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from onebit_precoding import (
-    BerRecord,
     ExperimentSpec,
     SolverConfig,
     paired_streams,
     run_experiment,
 )
 from onebit_precoding import baselines, harness, precoding
-from onebit_precoding.cli import CSV_COLUMNS, format_snr, write_csv
+from onebit_precoding.cli import write_csv
 
 
 def make_spec(**overrides):
@@ -594,32 +593,3 @@ class TestSpecValidation:
         # The expression every sigma in the sweep is taken from.
         for snr in (-7.5, 0.0, 3.0, 25.0):
             assert spec.system_params(snr).noise_var == 2.0 / 10.0 ** (snr / 10.0)
-
-
-class TestCsv:
-    def test_layout_and_header(self, tmp_path):
-        records = [
-            BerRecord("zf", 0.0, 0.1, 0.2, 0.15, 100, 50, 5, 0, 1.234),
-            BerRecord("zf", 10.0, 0.0, 0.0, 0.0, 100, 50, 5, 0, 1.234),
-        ]
-        path = tmp_path / "out.csv"
-        write_csv(records, str(path), header={"antennas": 8, "mod": "psk4"})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# antennas = 8"
-        assert lines[1] == "# mod = psk4"
-        assert lines[2] == ",".join(CSV_COLUMNS)
-        assert lines[3].startswith("zf,0,1.0000000000e-01,2.0000000000e-01,")
-        assert len(lines) == 5
-
-    def test_snr_text_round_trips(self):
-        """':g' where it reads back exactly, so default headers keep their
-        form; repr where it would round."""
-        assert [format_snr(s) for s in (0.0, 25.0, -5.0, 2.5)] == ["0", "25", "-5", "2.5"]
-        for snr in (3.00000049, 0.1 * 3, 1e-7 + 20.0):
-            assert float(format_snr(snr)) == snr
-        assert format_snr(3.00000049) == "3.00000049"
-
-    def test_record_validation(self):
-        for ber, ser, rate in ((1.5, 0.2, "ber"), (0.1, -0.2, "ser")):
-            with pytest.raises(ValueError, match=f"{rate} out of range"):
-                BerRecord("zf", 0.0, ber, ser, 0.1, 1, 1, 1, 0, 0.0)

@@ -17,7 +17,6 @@ from onebit_precoding import (
     one_bit_amplitude,
     point_margin,
     quantize_one_bit,
-    to_complex,
     to_real,
 )
 from onebit_precoding.precoding import cot_half_sector, optimal_onebit_margin
@@ -87,6 +86,13 @@ class TestBuildInstance:
     def test_symbol_count_mismatch_raises(self):
         with pytest.raises(ValueError):
             build_instance(np.eye(3, dtype=complex), np.array([0, 1]), 4, 1.0)
+
+    @pytest.mark.parametrize("H", [np.ones(3), np.ones((1, 3, 3)), np.array(1.0)], ids=["1-d", "3-d", "0-d"])
+    def test_channel_must_be_a_matrix(self, H):
+        """A channel row is no K x N matrix: broadcast against three symbols
+        it would build a 3 x 3 channel."""
+        with pytest.raises(ValueError, match=r"H must be a K x N channel matrix, got shape"):
+            build_instance(H, np.array([0, 1, 2]), 4, 1.0)
 
     @pytest.mark.parametrize("symbols", [[0, 1, 9], [0, -1, 7], [8, 0, 0]])
     def test_out_of_range_symbols_raise(self, symbols):
@@ -220,21 +226,42 @@ class TestOptimalOneBitMargin:
 class TestOneBitVector:
     def test_real_complex_round_trip(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        np.testing.assert_allclose(to_complex(to_real(x)), x, atol=0)
+        a = one_bit_amplitude(2.0, 5)
+        x = a * (rng.choice([-1.0, 1.0], 5) + 1j * rng.choice([-1.0, 1.0], 5))
+        np.testing.assert_allclose(OneBitVector(to_real(x), 2.0).to_complex(), x, atol=0)
 
     def test_quantize_ties_to_positive(self):
-        out = quantize_one_bit(np.array([0.0, -0.0, -3.0, 2.0, -1e-300, 1e-300]), 1.0)
+        out = quantize_one_bit(np.array([0.0, -0.0, -3.0, 2.0, -1e-300, 1e-300]), 1.0).x_real
         a = one_bit_amplitude(1.0, 3)
         np.testing.assert_array_equal(out, [a, a, -a, a, -a, a])
 
     def test_sign_ties_positive(self):
-        out = quantize_one_bit(np.array([-1.0, 0.0, 2.0]), 1.0)
-        np.testing.assert_array_equal(np.sign(out), [-1.0, 1.0, 1.0])
+        out = quantize_one_bit(np.array([-1.0, 0.0, 2.0, -0.0]), 1.0).x_real
+        np.testing.assert_array_equal(np.sign(out), [-1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "x_real, message",
+        [
+            ([-1.0, 0.0, 2.0], "flat 2N vector"),
+            (np.zeros((2, 2)), "flat 2N vector"),
+            (np.zeros(0), "N >= 1"),
+            (np.float64(0.5), "N >= 1"),
+        ],
+        ids=["odd-length", "2-d", "empty", "0-d"],
+    )
+    def test_quantize_rejects_malformed_input(self, x_real, message):
+        """A vector that is no flat 2N-vector with N >= 1 gets no rails: odd
+        length and 2-D input name their shape, empty and 0-d input name N."""
+        with pytest.raises(ValueError, match=message):
+            quantize_one_bit(np.asarray(x_real), 1.0)
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            OneBitVector(np.zeros(0), 1.0)
 
     def test_transmit_power_is_total_power(self):
         for power, n in [(1.0, 8), (4.0, 3)]:
-            v = OneBitVector(quantize_one_bit(np.random.default_rng(0).standard_normal(2 * n), power), power)
+            v = OneBitVector(quantize_one_bit(np.random.default_rng(0).standard_normal(2 * n), power).x_real, power)
             assert np.sum(np.abs(v.to_complex()) ** 2) == pytest.approx(power, rel=1e-12)
 
     def test_rejects_off_alphabet_entries(self):
