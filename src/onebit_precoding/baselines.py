@@ -13,7 +13,8 @@ from .falm import SolveReport, SolverConfig, falm_solve
 from .precoding import (
     PrecodingInstance,
     build_instance,
-    check_symbols,
+    check_inputs,
+    one_bit_amplitude,
     quantize_one_bit,
     relaxed_lp,
     to_real,
@@ -25,11 +26,12 @@ def zf_precode(H: np.ndarray, symbols, constellation: MpskConstellation, power: 
     x = c * H^H (H H^H)^-1 s, scaled so |x|^2 = P. Every user then receives
     exactly c * s_i before noise. Requires K <= N with H full row rank;
     K > N raises ValueError, since H H^H is then singular."""
-    H = np.asarray(H)
+    H, symbols = check_inputs(H, symbols, constellation.order)
     n_users, n_antennas = H.shape
     if n_users > n_antennas:
         raise ValueError(f"zero forcing needs K <= N, got K={n_users} > N={n_antennas}")
-    s = constellation.points[check_symbols(symbols, n_users, constellation.order)]
+    one_bit_amplitude(power, n_antennas)  # the power check
+    s = constellation.points[symbols]
     x = H.conj().T @ np.linalg.solve(H @ H.conj().T, s)
     return np.sqrt(power) / np.linalg.norm(x) * x
 

@@ -45,16 +45,14 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def draw_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a K x N channel with i.i.d. CN(0, 1) entries (real and imaginary
-    parts independent N(0, 1/2))."""
-    shape = (n_users, n_antennas)
+    """Draw a K x N channel with i.i.d. CN(0, 1) entries."""
+    return draw_unit_noise((n_users, n_antennas), rng)
+
+
+def draw_unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """CN(0, 1) samples of ``shape``, the package's one Gaussian draw; scaled
+    by sigma downstream so the same stream serves every SNR point."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def draw_unit_noise(count: int, rng: np.random.Generator) -> np.ndarray:
-    """CN(0, 1) samples; scaled by per-SNR sigma downstream so the same
-    stream serves every SNR point."""
-    return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
 
 
 def draw_symbols(order: int, count: int, rng: np.random.Generator) -> np.ndarray:

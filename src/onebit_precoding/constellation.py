@@ -51,6 +51,8 @@ class MpskConstellation:
     bit_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.order, (int, np.integer)):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.order < 2 or self.order & (self.order - 1):
             raise ValueError(f"order must be a power of two >= 2, got {self.order}")
         n = np.arange(self.order)
@@ -64,7 +66,7 @@ class MpskConstellation:
 
     @property
     def bits_per_symbol(self) -> int:
-        return self.order.bit_length() - 1
+        return int(self.order).bit_length() - 1  # a numpy integer has no bit_length
 
     def decide(self, y):
         """Hard MPSK decision: index of the sector containing the phase of y.

@@ -123,17 +123,20 @@ class PrecodingInstance:
         return float(np.linalg.norm(self.forms, 2))
 
 
-def check_symbols(symbols, n_users: int, order: int) -> np.ndarray:
-    """``symbols`` as an array, checked to hold one integer constellation
-    index in [0, order) per user, as every precoder needs."""
+def check_inputs(H, symbols, order: int) -> tuple:
+    """(H, symbols) as arrays, checked as every precoder needs: a K x N
+    channel and one integer constellation index in [0, order) per user."""
+    H = np.asarray(H)
+    if H.ndim != 2:
+        raise ValueError(f"H must be a K x N channel matrix, got shape {H.shape}")
     symbols = np.asarray(symbols)
-    if symbols.shape != (n_users,):
-        raise ValueError(f"symbols shape {symbols.shape} does not match {n_users} users")
+    if symbols.shape != (H.shape[0],):
+        raise ValueError(f"symbols shape {symbols.shape} does not match {H.shape[0]} users")
     if symbols.dtype.kind not in "iu":  # 0.5 or True is no constellation index
         raise ValueError(f"symbol indices must be integers, got dtype {symbols.dtype}")
     if not np.all((0 <= symbols) & (symbols < order)):
         raise ValueError(f"symbol indices must lie in [0, {order}), got {symbols}")
-    return symbols
+    return H, symbols
 
 
 def build_instance(H: np.ndarray, symbols, order: int, power: float) -> PrecodingInstance:
@@ -142,10 +145,8 @@ def build_instance(H: np.ndarray, symbols, order: int, power: float) -> Precodin
     ``symbols`` holds one constellation index in [0, order) per user. For
     order 2 the rotation term vanishes (cot = 0) and u = w = -b.
     """
-    H = np.asarray(H)
-    if H.ndim != 2:
-        raise ValueError(f"H must be a K x N channel matrix, got shape {H.shape}")
-    symbols = check_symbols(symbols, H.shape[0], order)
+    H, symbols = check_inputs(H, symbols, order)
+    # Not MpskConstellation(order).points: building one costs about half a call.
     s = np.exp(2j * np.pi * symbols / order)
     g = np.conj(s)[:, None] * H  # row i is s_i* h_i^T
     b = np.concatenate([g.real, -g.imag], axis=1)

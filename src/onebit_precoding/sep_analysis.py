@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_channel, draw_symbols, substream
+from .channel import draw_channel, draw_symbols, draw_unit_noise, substream
 from .constellation import MpskConstellation, sep_union_bound
 from .falm import falm_solve
 from .precoding import build_instance, point_margin
@@ -52,11 +52,7 @@ def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, rng) -> S
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     c = MpskConstellation(order)
     z_hat = point_margin(z, order)
-    eta = (
-        sigma
-        / np.sqrt(2.0)
-        * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-    )
+    eta = sigma * draw_unit_noise(n_trials, rng)
     errs = np.count_nonzero(c.decide(z + eta))
     errs_shifted = np.count_nonzero(c.decide(z_hat + eta))
 
@@ -82,10 +78,10 @@ class CheckResult:
 
 
 def _implication_violations(order: int, n_draws: int, rng) -> int:
-    """Count violations of the per-draw implication over random (z, eta)."""
+    """Count violations of the per-draw implication over random CN(0, 1) (z, eta)."""
     c = MpskConstellation(order)
-    z = rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
-    eta = rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
+    z = draw_unit_noise(n_draws, rng)
+    eta = draw_unit_noise(n_draws, rng)
     shifted_ok = c.decide(point_margin(z, order) + eta) == 0
     plain_ok = c.decide(z + eta) == 0
     return int(np.count_nonzero(shifted_ok & ~plain_ok))
@@ -164,7 +160,7 @@ def _precoded_reception_check(seed: int, n_trials: int) -> CheckResult:
     H = draw_channel(n_users, n_antennas, rng)
     symbols = draw_symbols(order, n_users, rng)
     x = falm_solve(build_instance(H, symbols, order, power)).x_onebit.to_complex()
-    z = H @ x * np.exp(-2j * np.pi * symbols / order)
+    z = H @ x * MpskConstellation(order).points[symbols].conj()
     alphas = point_margin(z, order)
     gaps = []
     for i, alpha in enumerate(alphas):

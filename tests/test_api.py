@@ -1,7 +1,7 @@
 """The public API has no name that only the tests use, no module reaches
 into another's private names, one function constructs every one-bit
-vector, the package does not load its CLI, and the calls the benchmark
-makes still work."""
+vector and one draws every Gaussian sample, the package does not load its
+CLI, and the calls the benchmark makes still work."""
 
 import ast
 import io
@@ -51,24 +51,38 @@ def test_no_module_imports_another_modules_private_name():
     assert private == []
 
 
-def test_one_bit_vectors_come_from_quantize_one_bit():
-    """``quantize_one_bit`` is the one place in the package that constructs
-    a ``OneBitVector``, so every one-bit transmit vector passes its check."""
+def calls_outside(callee: str, module: str, owner: str) -> list:
+    """``file:line`` of every call to ``callee``, as a name or an attribute,
+    in the package outside the function ``owner`` of ``module``."""
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         inside = {
             id(node)
             for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef) and function.name == "quantize_one_bit"
+            if isinstance(function, ast.FunctionDef)
+            and (path.stem, function.name) == (module, owner)
             for node in ast.walk(function)
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in inside:
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name == "OneBitVector":
+                if name == callee:
                     calls.append(f"{path.name}:{node.lineno}")
-    assert calls == []
+    return calls
+
+
+def test_one_bit_vectors_come_from_quantize_one_bit():
+    """``quantize_one_bit`` is the one place in the package that constructs
+    a ``OneBitVector``, so every one-bit transmit vector passes its check."""
+    assert calls_outside("OneBitVector", "precoding", "quantize_one_bit") == []
+
+
+def test_gaussian_draws_come_from_draw_unit_noise():
+    """``channel.draw_unit_noise`` is the one caller of ``standard_normal``
+    in the package, so the channel, the sweep's noise and the SEP checks'
+    noise share one CN(0, 1) sampler."""
+    assert calls_outside("standard_normal", "channel", "draw_unit_noise") == []
 
 
 def test_package_import_leaves_the_cli_out():

@@ -85,6 +85,14 @@ class TestConstellationType:
         with pytest.raises(ValueError):
             MpskConstellation(order)
 
+    @pytest.mark.parametrize("order", [8.0, 3.5, "8"])
+    def test_rejects_non_integral_order(self, order):
+        """A float or string order is named in a ValueError, not a TypeError
+        from the power-of-two test; numpy integers stay accepted."""
+        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
+            MpskConstellation(order)
+        assert MpskConstellation(np.int64(8)).order == 8
+
     def test_bits_per_symbol(self):
         assert MpskConstellation(2).bits_per_symbol == 1
         assert MpskConstellation(16).bits_per_symbol == 4

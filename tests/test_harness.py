@@ -586,6 +586,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="order must be a power of two"):
             make_spec(order=order)
 
+    def test_rejects_float_order(self):
+        with pytest.raises(ValueError, match="order must be an integer, got 8.0"):
+            make_spec(order=8.0)
+
     def test_system_params_noise_var(self):
         spec = make_spec(total_power=2.0)
         params = spec.system_params(10.0)
