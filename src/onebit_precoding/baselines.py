@@ -26,7 +26,7 @@ def zf_precode(H: np.ndarray, symbols, constellation: MpskConstellation, power: 
     x = c * H^H (H H^H)^-1 s, scaled so |x|^2 = P. Every user then receives
     exactly c * s_i before noise. Requires K <= N with H full row rank;
     K > N raises ValueError, since H H^H is then singular."""
-    H, symbols = check_inputs(H, symbols, constellation.order)
+    H, symbols = check_inputs(H, symbols, constellation)
     n_users, n_antennas = H.shape
     if n_users > n_antennas:
         raise ValueError(f"zero forcing needs K <= N, got K={n_users} > N={n_antennas}")
@@ -64,7 +64,7 @@ def _one_bit_entry(solve):
     of ``solve(instance)``'s report."""
 
     def precode(H, symbols, constellation, power):
-        instance = build_instance(H, symbols, constellation.order, power)
+        instance = build_instance(H, symbols, constellation, power)
         return solve(instance).x_onebit.to_complex()
 
     return precode

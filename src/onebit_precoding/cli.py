@@ -29,6 +29,7 @@ import numpy as np
 
 from .baselines import available_precoders
 from .channel import draw_channel, draw_symbols, substream
+from .constellation import MpskConstellation
 from .falm import SolverConfig, falm_solve
 from .harness import ExperimentSpec, run_experiment
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
@@ -307,7 +308,7 @@ def seed_instance(seed, n_antennas, n_users, order, power):
     channel, then its symbols, drawn from substream(seed, 0)."""
     rng = substream(seed, 0)
     H = draw_channel(n_users, n_antennas, rng)
-    return build_instance(H, draw_symbols(order, n_users, rng), order, power)
+    return build_instance(H, draw_symbols(order, n_users, rng), MpskConstellation(order), power)
 
 
 def _cmd_solve_one(args) -> int:

@@ -58,16 +58,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if len(self.snr_db) == 0:
             raise ValueError("snr_db must be non-empty")
-        if self.block_length < 1:
-            raise ValueError("block_length must be >= 1")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+        for name, least in (
+            ("n_antennas", 1), ("n_users", 1), ("block_length", 1),
+            ("n_realizations", 1), ("base_seed", 0), ("n_workers", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if len(self.precoder_ids) == 0:
             raise ValueError("precoder_ids must be non-empty")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
         MpskConstellation(self.order)  # order validation
         for pid in self.precoder_ids:  # an unknown id raises KeyError
             get_precoder(pid, self.solver)

@@ -24,6 +24,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from .constellation import MpskConstellation
+
 # Largest N that optimal_onebit_margin enumerates; memory grows as 4^N.
 MAX_ENUMERATED_ANTENNAS = 8
 
@@ -123,9 +125,9 @@ class PrecodingInstance:
         return float(np.linalg.norm(self.forms, 2))
 
 
-def check_inputs(H, symbols, order: int) -> tuple:
+def check_inputs(H, symbols, constellation: MpskConstellation) -> tuple:
     """(H, symbols) as arrays, checked as every precoder needs: a K x N
-    channel and one integer constellation index in [0, order) per user."""
+    channel and one integer index in [0, M) into ``constellation`` per user."""
     H = np.asarray(H)
     if H.ndim != 2:
         raise ValueError(f"H must be a K x N channel matrix, got shape {H.shape}")
@@ -134,23 +136,19 @@ def check_inputs(H, symbols, order: int) -> tuple:
         raise ValueError(f"symbols shape {symbols.shape} does not match {H.shape[0]} users")
     if symbols.dtype.kind not in "iu":  # 0.5 or True is no constellation index
         raise ValueError(f"symbol indices must be integers, got dtype {symbols.dtype}")
-    if not np.all((0 <= symbols) & (symbols < order)):
-        raise ValueError(f"symbol indices must lie in [0, {order}), got {symbols}")
+    if not np.all((0 <= symbols) & (symbols < constellation.order)):
+        raise ValueError(f"symbol indices must lie in [0, {constellation.order}), got {symbols}")
     return H, symbols
 
 
-def build_instance(H: np.ndarray, symbols, order: int, power: float) -> PrecodingInstance:
-    """Build the per-symbol-time margin forms from a channel and symbol row.
-
-    ``symbols`` holds one constellation index in [0, order) per user. For
-    order 2 the rotation term vanishes (cot = 0) and u = w = -b.
-    """
-    H, symbols = check_inputs(H, symbols, order)
-    # Not MpskConstellation(order).points: building one costs about half a call.
-    s = np.exp(2j * np.pi * symbols / order)
-    g = np.conj(s)[:, None] * H  # row i is s_i* h_i^T
+def build_instance(H: np.ndarray, symbols, constellation: MpskConstellation, power: float) -> PrecodingInstance:
+    """Build the per-symbol-time margin forms from a precoder's four inputs:
+    a channel, one index into ``constellation`` per user, and the power P.
+    For M = 2 the rotation term vanishes (cot = 0) and u = w = -b."""
+    H, symbols = check_inputs(H, symbols, constellation)
+    g = np.conj(constellation.points[symbols])[:, None] * H  # row i is s_i* h_i^T
     b = np.concatenate([g.real, -g.imag], axis=1)
-    r = cot_half_sector(order) * np.concatenate([g.imag, g.real], axis=1)
+    r = cot_half_sector(constellation.order) * np.concatenate([g.imag, g.real], axis=1)
     return PrecodingInstance(np.vstack([-b + r, -b - r]), power)
 
 

@@ -159,8 +159,9 @@ def _precoded_reception_check(seed: int, n_trials: int) -> CheckResult:
     n_antennas, n_users, order, power, sigma = 16, 4, 8, 1.0, 0.3
     H = draw_channel(n_users, n_antennas, rng)
     symbols = draw_symbols(order, n_users, rng)
-    x = falm_solve(build_instance(H, symbols, order, power)).x_onebit.to_complex()
-    z = H @ x * MpskConstellation(order).points[symbols].conj()
+    constellation = MpskConstellation(order)
+    x = falm_solve(build_instance(H, symbols, constellation, power)).x_onebit.to_complex()
+    z = H @ x * constellation.points[symbols].conj()
     alphas = point_margin(z, order)
     gaps = []
     for i, alpha in enumerate(alphas):

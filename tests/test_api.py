@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 
 import onebit_precoding
-from onebit_precoding import build_instance, draw_channel, draw_symbols, falm_solve, min_margin, msm_precode
+from onebit_precoding import (
+    MpskConstellation,
+    build_instance,
+    draw_channel,
+    draw_symbols,
+    falm_solve,
+    min_margin,
+    msm_precode,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(onebit_precoding.__file__).resolve().parent
@@ -85,6 +93,17 @@ def test_gaussian_draws_come_from_draw_unit_noise():
     assert calls_outside("standard_normal", "channel", "draw_unit_noise") == []
 
 
+def test_mpsk_points_come_from_the_constellation():
+    """The points formula exp(2j*pi*n/M) is written only in constellation.py,
+    so detection, zero forcing and the margin forms share one alphabet."""
+    writers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"2j\s*\*\s*np\.pi", path.read_text())
+    ]
+    assert writers == ["constellation.py"]
+
+
 def test_package_import_leaves_the_cli_out():
     """``import onebit_precoding`` in a fresh interpreter does not load
     ``onebit_precoding.cli``, so nothing the CLI defines, such as its CSV
@@ -102,7 +121,7 @@ def test_benchmark_call_contract():
     trace_file) positionally, takes each outer step's APG count from the
     trace's last column, and reads the margin of msm_precode's report."""
     rng = np.random.default_rng(5)
-    instance = build_instance(draw_channel(3, 6, rng), draw_symbols(8, 3, rng), 8, 1.0)
+    instance = build_instance(draw_channel(3, 6, rng), draw_symbols(8, 3, rng), MpskConstellation(8), 1.0)
     log = io.StringIO()
     report = falm_solve(instance, None, None, log)
     inner = [int(row.rsplit(",", 1)[1]) for row in log.getvalue().splitlines()[1:]]

@@ -168,7 +168,7 @@ class TestLpSolve:
         rng = np.random.default_rng(5)
         H = draw_channel(2, 2, rng)
         symbols = rng.integers(0, 4, size=2)
-        instance = build_instance(H, symbols, 4, 1.0)
+        instance = build_instance(H, symbols, MpskConstellation(4), 1.0)
         _, t_star = relaxed_lp(instance)
         forms = np.hstack([instance.forms, np.ones((4, 1))])
 
@@ -201,7 +201,7 @@ class TestMsmPrecode:
     def test_single_user_bpsk_matches_enumeration(self):
         rng = np.random.default_rng(6)
         H = draw_channel(1, 1, rng)
-        instance = build_instance(H, np.array([0]), 2, 1.0)
+        instance = build_instance(H, np.array([0]), MpskConstellation(2), 1.0)
         report = msm_precode(instance)
         assert report.margin == pytest.approx(optimal_onebit_margin(instance), abs=1e-9)
 
@@ -210,7 +210,7 @@ class TestMsmPrecode:
         for _ in range(10):
             H = draw_channel(2, 2, rng)
             symbols = rng.integers(0, 4, size=2)
-            instance = build_instance(H, symbols, 4, 1.0)
+            instance = build_instance(H, symbols, MpskConstellation(4), 1.0)
             report = msm_precode(instance)
             # optimal_onebit_margin is the best over every one-bit point.
             assert report.relaxed_optimum >= optimal_onebit_margin(instance) - 1e-9
@@ -221,14 +221,14 @@ class TestMsmPrecode:
         for _ in range(10):
             H = draw_channel(3, 4, rng)
             symbols = rng.integers(0, 8, size=3)
-            report = msm_precode(build_instance(H, symbols, 8, 1.0))
+            report = msm_precode(build_instance(H, symbols, MpskConstellation(8), 1.0))
             assert report.relaxed_optimum >= -1e-9
 
     def test_reported_margin_matches_vector(self):
         rng = np.random.default_rng(9)
         H = draw_channel(3, 6, rng)
         symbols = rng.integers(0, 8, size=3)
-        instance = build_instance(H, symbols, 8, 1.0)
+        instance = build_instance(H, symbols, MpskConstellation(8), 1.0)
         report = msm_precode(instance)
         assert report.margin == pytest.approx(
             min_margin(instance, report.x_onebit.x_real), abs=0
@@ -240,7 +240,7 @@ class TestMsmPrecode:
         rng = np.random.default_rng(12)
         for n_users, n_antennas in ((2, 2), (3, 6), (8, 32)):
             H = draw_channel(n_users, n_antennas, rng)
-            instance = build_instance(H, rng.integers(0, 8, size=n_users), 8, 1.0)
+            instance = build_instance(H, rng.integers(0, 8, size=n_users), MpskConstellation(8), 1.0)
             report = msm_precode(instance)
             x_lp = relaxed_lp(instance)[0]
             np.testing.assert_array_equal(report.x_onebit.x_real, quantize_one_bit(x_lp, 1.0).x_real)
@@ -248,7 +248,7 @@ class TestMsmPrecode:
             assert report.outer_iterations == report.inner_iterations == 0
 
     def test_lp_failure_raises(self, monkeypatch):
-        instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), 4, 1.0)
+        instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), MpskConstellation(4), 1.0)
         failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
         monkeypatch.setattr(precoding, "milp", lambda *args, **kwargs: failed)
         with pytest.raises(RuntimeError, match="infeasible"):
@@ -261,7 +261,7 @@ class TestMsmPrecode:
         rng = np.random.default_rng(11)
         for _ in range(count):
             H = draw_channel(n_users, n_antennas, rng)
-            instance = build_instance(H, rng.integers(0, 8, size=n_users), 8, 1.0)
+            instance = build_instance(H, rng.integers(0, 8, size=n_users), MpskConstellation(8), 1.0)
             reference = presolved_linprog(instance)
             assert reference.status == 0
             report = msm_precode(instance)

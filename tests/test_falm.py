@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from onebit_precoding import (
+    MpskConstellation,
     PrecodingInstance,
     SolverConfig,
     SolverFailure,
@@ -140,7 +141,7 @@ def reference_apg(instance, v, lam, mu, x_init, max_iters, exits=None, steps=Non
 
 def random_instance(rng, n_users=4, n_antennas=3, order=8, power=1.0):
     H = draw_channel(n_users, n_antennas, rng)
-    return build_instance(H, draw_symbols(order, n_users, rng), order, power)
+    return build_instance(H, draw_symbols(order, n_users, rng), MpskConstellation(order), power)
 
 
 def true_max(instance, x_real):
@@ -173,7 +174,7 @@ def grid_search_box_min(objective, n_dims, half_width, points_per_dim=11, refine
 class TestSmoothedObjective:
     def test_equal_exponents_single_user(self):
         # u . x = w . x = c gives exactly c + mu*log(2)
-        inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), 2, 1.0)
+        inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), MpskConstellation(2), 1.0)
         x = np.array([-0.3, 0.7])
         c = float(inst.forms[0] @ x)  # u_0
         mu = 0.05
@@ -267,7 +268,7 @@ class TestApg:
         # the active coordinate to the favourable corner
         c = 0.8
         h = np.array([[c + 0j]])
-        inst = build_instance(h, np.array([0]), 2, 1.0)  # u = w = [-c, 0]
+        inst = build_instance(h, np.array([0]), MpskConstellation(2), 1.0)  # u = w = [-c, 0]
         mu = 0.01
         x = falm._apg(inst, np.zeros(2), 0.0, mu, np.zeros(2), 5000)[0]
         a = inst.amplitude
@@ -670,7 +671,7 @@ class TestStepRule:
 
 class TestFalmSolve:
     def test_bpsk_single_antenna_matches_enumeration(self):
-        inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), 2, 1.0)
+        inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), MpskConstellation(2), 1.0)
         report = falm_solve(inst)
         a = inst.amplitude
         best = optimal_onebit_margin(inst)

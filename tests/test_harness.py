@@ -562,6 +562,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="n_workers"):
             make_spec(n_workers=0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("n_antennas", 4.0), ("n_users", 2.0), ("block_length", 2.0),
+            ("base_seed", 1.5), ("n_realizations", 2.0), ("n_workers", 1.0),
+            ("n_users", 0), ("n_antennas", "8"), ("n_workers", True),
+        ],
+    )
+    def test_rejects_non_integral_counts(self, field, bad):
+        """Every count and the seed must be an integer, not a float or a
+        bool, so a bad count fails at the spec, not inside a realization or
+        the pool."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_spec(**{field: bad})
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = make_spec(n_antennas=np.int64(8), n_realizations=np.int32(4), base_seed=np.uint8(0))
+        assert spec.n_antennas == 8
+
     def test_rejects_empty_precoders(self):
         with pytest.raises(ValueError):
             make_spec(precoder_ids=())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit_precoding import (
+    MpskConstellation,
     OneBitVector,
     PrecodingInstance,
     build_instance,
@@ -25,13 +26,13 @@ from onebit_precoding.precoding import cot_half_sector, optimal_onebit_margin
 def random_instance(rng, n_users=3, n_antennas=4, order=8, power=1.0):
     H = draw_channel(n_users, n_antennas, rng)
     symbols = draw_symbols(order, n_users, rng)
-    return H, symbols, build_instance(H, symbols, order, power)
+    return H, symbols, build_instance(H, symbols, MpskConstellation(order), power)
 
 
 def user_margin(h, x, symbol: int, order: int) -> float:
     """Safety margin of one user with channel row h and symbol index
     ``symbol``, from the margin forms of a one-user instance."""
-    instance = build_instance(np.array([h]), np.array([symbol]), order, 1.0)
+    instance = build_instance(np.array([h]), np.array([symbol]), MpskConstellation(order), 1.0)
     return min_margin(instance, to_real(x))
 
 
@@ -53,7 +54,7 @@ class TestCot:
 
 class TestBuildInstance:
     def test_single_user_single_antenna_qpsk(self):
-        inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), 4, 1.0)
+        inst = build_instance(np.array([[1.0 + 0j]]), np.array([0]), MpskConstellation(4), 1.0)
         np.testing.assert_allclose(inst.forms[:1], [[-1.0, 1.0]], atol=1e-12)  # u
         np.testing.assert_allclose(inst.forms[1:], [[-1.0, -1.0]], atol=1e-12)  # w
 
@@ -85,27 +86,35 @@ class TestBuildInstance:
 
     def test_symbol_count_mismatch_raises(self):
         with pytest.raises(ValueError):
-            build_instance(np.eye(3, dtype=complex), np.array([0, 1]), 4, 1.0)
+            build_instance(np.eye(3, dtype=complex), np.array([0, 1]), MpskConstellation(4), 1.0)
 
     @pytest.mark.parametrize("H", [np.ones(3), np.ones((1, 3, 3)), np.array(1.0)], ids=["1-d", "3-d", "0-d"])
     def test_channel_must_be_a_matrix(self, H):
         """A channel row is no K x N matrix: broadcast against three symbols
         it would build a 3 x 3 channel."""
         with pytest.raises(ValueError, match=r"H must be a K x N channel matrix, got shape"):
-            build_instance(H, np.array([0, 1, 2]), 4, 1.0)
+            build_instance(H, np.array([0, 1, 2]), MpskConstellation(4), 1.0)
 
     @pytest.mark.parametrize("symbols", [[0, 1, 9], [0, -1, 7], [8, 0, 0]])
     def test_out_of_range_symbols_raise(self, symbols):
         """An index outside [0, M) is an error, not wrapped onto the circle."""
         with pytest.raises(ValueError, match=r"symbol indices must lie in \[0, 8\)"):
-            build_instance(np.eye(3, dtype=complex), np.array(symbols), 8, 1.0)
+            build_instance(np.eye(3, dtype=complex), np.array(symbols), MpskConstellation(8), 1.0)
 
     @pytest.mark.parametrize("symbols", [[0.5, 1.0], [True, False]])
     def test_non_integer_symbols_raise(self, symbols):
         """0.5 is no constellation index (it would build a point between two
         QPSK symbols), and neither is True."""
         with pytest.raises(ValueError, match="symbol indices must be integers"):
-            build_instance(np.eye(2, dtype=complex), np.array(symbols), 4, 1.0)
+            build_instance(np.eye(2, dtype=complex), np.array(symbols), MpskConstellation(4), 1.0)
+
+    @pytest.mark.parametrize("order", [3, 8, 8.0])
+    def test_a_bare_order_builds_no_instance(self, order):
+        """The alphabet reaches the margin forms only as an MpskConstellation,
+        whose order rule (an integer power of two >= 2) then holds for every
+        instance; a bare order, valid or not, builds none."""
+        with pytest.raises(AttributeError, match="order"):
+            build_instance(np.eye(2), [0, 1], order, 1.0)
 
     def test_instance_arrays_read_only(self):
         rng = np.random.default_rng(2)
