@@ -13,7 +13,7 @@ from .baselines import (
     zf_onebit,
     zf_precode,
 )
-from .channel import SystemParams, draw_channel, draw_symbols, substream
+from .channel import draw_channel, draw_symbols, substream
 from .constellation import MpskConstellation, q_function, sep_union_bound
 from .falm import (
     SolveReport,
@@ -45,7 +45,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SolverFailure",
-    "SystemParams",
     "available_precoders",
     "build_instance",
     "draw_channel",

@@ -1,11 +1,8 @@
-"""System parameters and the channel, symbol and noise draws of the downlink
-y_i = h_i^T x + eta_i (plain transpose, no conjugation). Each draw takes a
-numpy Generator; ``substream(seed, *path)`` gives the seeded one."""
+"""The channel, symbol and noise draws of the downlink y_i = h_i^T x + eta_i
+(plain transpose, no conjugation). Each draw takes a numpy Generator;
+``substream(seed, *path)`` gives the seeded one."""
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,28 +11,6 @@ import numpy as np
 CHANNEL_STREAM = 0
 SYMBOL_STREAM = 1
 NOISE_STREAM = 2
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Downlink dimensions and powers: N antennas, K users, total transmit
-    power P, and noise variance sigma^2."""
-
-    n_antennas: int
-    n_users: int
-    total_power: float
-    noise_var: float
-
-    def __post_init__(self):
-        if self.n_antennas < 1:
-            raise ValueError(f"n_antennas must be positive, got {self.n_antennas}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be positive, got {self.n_users}")
-        # Written so that NaN fails too.
-        if not 0 < self.total_power < math.inf:
-            raise ValueError(f"total_power must be finite and positive, got {self.total_power}")
-        if not 0 < self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -57,16 +57,18 @@ class CliError(Exception):
 
 
 def parse_modulation(text: str) -> int:
+    """The order M of 'pskM', as MpskConstellation judges it."""
     text = text.strip().lower()
-    if not text.startswith("psk"):
+    try:
+        order = int(text[3:]) if text.startswith("psk") else None
+    except ValueError:
+        order = None
+    if order is None:
         raise CliError(f"--mod must look like 'psk8', got {text!r}")
     try:
-        order = int(text[3:])
-    except ValueError:
-        raise CliError(f"--mod must look like 'psk8', got {text!r}") from None
-    if order < 2 or order & (order - 1):
-        raise CliError(f"--mod order must be a power of two >= 2, got {order}")
-    return order
+        return MpskConstellation(order).order
+    except ValueError as exc:
+        raise CliError(f"--mod {exc}") from None
 
 
 def parse_snr(text: str) -> tuple:

@@ -20,17 +20,17 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
-def sep_union_bound(alpha: float, sigma: float, order: int) -> float:
-    """Union bound on the MPSK symbol-error probability of a reception with
-    safety margin ``alpha`` in circular complex Gaussian noise of variance
-    ``sigma**2``: min(1, 2*Q(alpha*sqrt(2)/sigma * sin(pi/M))).
+def sep_union_bound(alpha: float, sigma: float, constellation: MpskConstellation) -> float:
+    """Union bound on the symbol-error probability under ``constellation``
+    of a reception with safety margin ``alpha`` in circular complex Gaussian
+    noise of variance ``sigma**2``: min(1, 2*Q(alpha*sqrt(2)/sigma * sin(pi/M))).
 
     ``alpha`` may be negative; the bound then exceeds 1 before clipping.
     """
     # Written so that NaN fails too.
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    arg = alpha * np.sqrt(2.0) / sigma * np.sin(np.pi / order)
+    arg = alpha * np.sqrt(2.0) / sigma * np.sin(np.pi / constellation.order)
     return float(min(1.0, 2.0 * q_function(arg)))
 
 
@@ -43,11 +43,14 @@ class MpskConstellation:
     adjacent indices (mod M) differ in exactly one bit and a nearest-neighbour
     symbol error flips a single bit; ``bit_distances[a, b]`` is the Hamming
     distance between the labels of a and b. Instances are immutable and safe
-    to share across workers.
+    to share across workers. ``cot_half_sector`` is cot(pi/M), the slope of
+    the decision-sector edges in every safety margin; it is exactly 0.0 at
+    M = 2 (the BPSK limit, avoiding the pole).
     """
 
     order: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
+    cot_half_sector: float = field(init=False, repr=False, compare=False)
     bit_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,6 +66,8 @@ class MpskConstellation:
         for name, table in (("points", pts), ("bit_distances", distances)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+        cot = 0.0 if self.order == 2 else 1.0 / np.tan(np.pi / self.order)
+        object.__setattr__(self, "cot_half_sector", cot)
 
     @property
     def bits_per_symbol(self) -> int:

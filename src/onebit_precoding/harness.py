@@ -26,7 +26,6 @@ from .channel import (
     CHANNEL_STREAM,
     NOISE_STREAM,
     SYMBOL_STREAM,
-    SystemParams,
     draw_channel,
     draw_symbols,
     draw_unit_noise,
@@ -34,8 +33,20 @@ from .channel import (
 )
 from .constellation import MpskConstellation
 from .falm import SolverConfig
+from .precoding import one_bit_amplitude
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """One SNR point of an ExperimentSpec, as the spec checked it: N
+    antennas, K users, total transmit power P and noise variance sigma^2."""
+
+    n_antennas: int
+    n_users: int
+    total_power: float
+    noise_var: float
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,10 @@ class ExperimentSpec:
         if len(self.precoder_ids) == 0:
             raise ValueError("precoder_ids must be non-empty")
         MpskConstellation(self.order)  # order validation
+        one_bit_amplitude(self.total_power, self.n_antennas)  # the power check
         for pid in self.precoder_ids:  # an unknown id raises KeyError
             get_precoder(pid, self.solver)
-        for snr in self.snr_db:  # dimension, power and SNR validation
+        for snr in self.snr_db:  # SNR validation
             self.system_params(snr)
 
     def system_params(self, snr_db: float) -> SystemParams:
@@ -84,8 +96,7 @@ class ExperimentSpec:
             noise_var = 0.0
         except ZeroDivisionError:  # 10**(snr/10) underflows to 0
             noise_var = math.inf
-        # An invalid total_power is left for SystemParams to name.
-        if not 0 < noise_var < math.inf and 0 < self.total_power < math.inf:
+        if not 0 < noise_var < math.inf:
             raise ValueError(
                 f"SNR point {snr_db:g} dB is out of range: "
                 f"noise_var must be finite and positive, got {noise_var}"

@@ -40,15 +40,6 @@ def one_bit_amplitude(power: float, n_antennas: int) -> float:
     return float(np.sqrt(power / (2.0 * n_antennas)))
 
 
-def cot_half_sector(order: int) -> float:
-    """cot(pi/M); exactly 0 for M = 2 (the BPSK limit, avoiding the pole)."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if order == 2:
-        return 0.0
-    return 1.0 / np.tan(np.pi / order)
-
-
 def to_real(x: np.ndarray) -> np.ndarray:
     """Stack a complex N-vector into [Re x; Im x] of length 2N."""
     x = np.asarray(x)
@@ -126,11 +117,13 @@ class PrecodingInstance:
 
 
 def check_inputs(H, symbols, constellation: MpskConstellation) -> tuple:
-    """(H, symbols) as arrays, checked as every precoder needs: a K x N
+    """(H, symbols) as arrays, checked as every precoder needs: a finite K x N
     channel and one integer index in [0, M) into ``constellation`` per user."""
     H = np.asarray(H)
     if H.ndim != 2:
         raise ValueError(f"H must be a K x N channel matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite, got a NaN or infinite entry")
     symbols = np.asarray(symbols)
     if symbols.shape != (H.shape[0],):
         raise ValueError(f"symbols shape {symbols.shape} does not match {H.shape[0]} users")
@@ -148,7 +141,7 @@ def build_instance(H: np.ndarray, symbols, constellation: MpskConstellation, pow
     H, symbols = check_inputs(H, symbols, constellation)
     g = np.conj(constellation.points[symbols])[:, None] * H  # row i is s_i* h_i^T
     b = np.concatenate([g.real, -g.imag], axis=1)
-    r = cot_half_sector(constellation.order) * np.concatenate([g.imag, g.real], axis=1)
+    r = constellation.cot_half_sector * np.concatenate([g.imag, g.real], axis=1)
     return PrecodingInstance(np.vstack([-b + r, -b - r]), power)
 
 
@@ -179,11 +172,11 @@ def relaxed_lp(instance: PrecodingInstance) -> tuple:
     return solution.x[:n2], float(-solution.fun)
 
 
-def point_margin(z, order: int):
+def point_margin(z, constellation: MpskConstellation):
     """Safety margin Re z - |Im z| cot(pi/M) of a noiseless point z decoded
-    against the symbol 1; elementwise on arrays."""
+    against the symbol 1 of ``constellation``; elementwise on arrays."""
     z = np.asarray(z)
-    return z.real - np.abs(z.imag) * cot_half_sector(order)
+    return z.real - np.abs(z.imag) * constellation.cot_half_sector
 
 
 def min_margin(instance: PrecodingInstance, x_real: np.ndarray) -> float:

@@ -4,8 +4,8 @@ The scalar problem: a noiseless point z (arbitrary complex) is observed in
 circular complex Gaussian noise, w = z + eta, and decoded against the symbol
 1 (index 0). Shifting z by delta_z = -|Im z| cot(pi/M) - j Im z collapses it
 onto the real axis at z_hat = alpha = Re z - |Im z| cot(pi/M), the safety
-margin of the point (precoding.point_margin). Two facts are verified here
-empirically:
+margin of the point (precoding.point_margin, given the MpskConstellation
+that owns M and cot(pi/M)). Two facts are verified here empirically:
 
   * whenever the shifted observation z_hat + eta decodes correctly, so does
     z + eta (for every noise draw, not just on average), hence
@@ -41,20 +41,19 @@ class SepEstimate:
     std_err_shifted: float
 
 
-def empirical_sep(z: complex, sigma: float, order: int, n_trials: int, rng) -> SepEstimate:
-    """Estimate Pr(dec(z + eta) != 1) and Pr(dec(z_hat + eta) != 1) from
-    ``n_trials`` shared noise draws of variance sigma^2 taken from the
-    Generator ``rng``, z_hat being the point_margin of z."""
+def empirical_sep(z: complex, sigma: float, constellation: MpskConstellation, n_trials: int, rng) -> SepEstimate:
+    """Estimate Pr(dec(z + eta) != 1) and Pr(dec(z_hat + eta) != 1) under
+    ``constellation`` from ``n_trials`` shared noise draws of variance
+    sigma^2 taken from the Generator ``rng``, z_hat being its point_margin."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     # Written so that NaN fails too.
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    c = MpskConstellation(order)
-    z_hat = point_margin(z, order)
+    z_hat = point_margin(z, constellation)
     eta = sigma * draw_unit_noise(n_trials, rng)
-    errs = np.count_nonzero(c.decide(z + eta))
-    errs_shifted = np.count_nonzero(c.decide(z_hat + eta))
+    errs = np.count_nonzero(constellation.decide(z + eta))
+    errs_shifted = np.count_nonzero(constellation.decide(z_hat + eta))
 
     def rate_and_se(k):
         p = k / n_trials
@@ -77,13 +76,12 @@ class CheckResult:
     passed: bool
 
 
-def _implication_violations(order: int, n_draws: int, rng) -> int:
+def _implication_violations(constellation: MpskConstellation, n_draws: int, rng) -> int:
     """Count violations of the per-draw implication over random CN(0, 1) (z, eta)."""
-    c = MpskConstellation(order)
     z = draw_unit_noise(n_draws, rng)
     eta = draw_unit_noise(n_draws, rng)
-    shifted_ok = c.decide(point_margin(z, order) + eta) == 0
-    plain_ok = c.decide(z + eta) == 0
+    shifted_ok = constellation.decide(point_margin(z, constellation) + eta) == 0
+    plain_ok = constellation.decide(z + eta) == 0
     return int(np.count_nonzero(shifted_ok & ~plain_ok))
 
 
@@ -112,7 +110,9 @@ def run_verification(
     results = []
 
     for order in (2, 4, 8, 16):
-        violations = _implication_violations(order, implication_draws, substream(seed, 0, order))
+        violations = _implication_violations(
+            MpskConstellation(order), implication_draws, substream(seed, 0, order)
+        )
         results.append(
             CheckResult(
                 name=f"implication M={order}",
@@ -123,11 +123,12 @@ def run_verification(
 
     points = _bound_test_points(substream(seed, 1))
     for order in (4, 8, 16):
+        constellation = MpskConstellation(order)
         alphas, chain_gaps, bound_gaps = [], [], []
         for j, z in enumerate(points):
-            est = empirical_sep(z, SIGMA, order, bound_trials, substream(seed, 2, order, j))
-            alpha = point_margin(z, order)
-            bound = sep_union_bound(alpha, SIGMA, order)
+            est = empirical_sep(z, SIGMA, constellation, bound_trials, substream(seed, 2, order, j))
+            alpha = point_margin(z, constellation)
+            bound = sep_union_bound(alpha, SIGMA, constellation)
             se_pair = np.hypot(est.std_err, est.std_err_shifted)
             alphas.append(alpha)
             chain_gaps.append(est.err_rate - est.err_rate_shifted - 3.0 * se_pair)
@@ -162,11 +163,11 @@ def _precoded_reception_check(seed: int, n_trials: int) -> CheckResult:
     constellation = MpskConstellation(order)
     x = falm_solve(build_instance(H, symbols, constellation, power)).x_onebit.to_complex()
     z = H @ x * constellation.points[symbols].conj()
-    alphas = point_margin(z, order)
+    alphas = point_margin(z, constellation)
     gaps = []
     for i, alpha in enumerate(alphas):
-        est = empirical_sep(z[i], sigma, order, n_trials, substream(seed, 3, 10 + i))
-        bound = sep_union_bound(alpha, sigma, order)
+        est = empirical_sep(z[i], sigma, constellation, n_trials, substream(seed, 3, 10 + i))
+        bound = sep_union_bound(alpha, sigma, constellation)
         gaps.append(est.err_rate - bound - 3.0 * est.std_err)
     return CheckResult(
         name="precoded receptions",

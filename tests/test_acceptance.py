@@ -50,7 +50,7 @@ def test_criterion_01_implication_never_violated():
     start = time.perf_counter()
     draws = 100_000
     violations = {
-        order: _implication_violations(order, draws, substream(101, order))
+        order: _implication_violations(MpskConstellation(order), draws, substream(101, order))
         for order in (2, 4, 8, 16)
     }
     elapsed = time.perf_counter() - start
@@ -76,11 +76,12 @@ def test_criterion_02_empirical_chain_and_union_bound():
     failures = []
     sign_cover = {order: set() for order in (4, 8, 16)}
     for order in (4, 8, 16):
+        c = MpskConstellation(order)
         for j, z in enumerate(points):
-            alpha = point_margin(z, order)
+            alpha = point_margin(z, c)
             sign_cover[order].add(alpha > 0)
-            est = empirical_sep(z, sigma, order, trials, substream(203, order, j))
-            bound = sep_union_bound(alpha, sigma, order)
+            est = empirical_sep(z, sigma, c, trials, substream(203, order, j))
+            bound = sep_union_bound(alpha, sigma, c)
             pair_se = np.hypot(est.std_err, est.std_err_shifted)
             if est.err_rate > est.err_rate_shifted + 3 * pair_se:
                 failures.append(f"chain M={order} z={z:.3f}")

@@ -1,7 +1,8 @@
 """The public API has no name that only the tests use, no module reaches
 into another's private names, one function constructs every one-bit
-vector and one draws every Gaussian sample, the package does not load its
-CLI, and the calls the benchmark makes still work."""
+vector, one draws every Gaussian sample and one builds every SystemParams,
+the MPSK points and sector trigonometry live in constellation.py, the
+package does not load its CLI, and the calls the benchmark makes still work."""
 
 import ast
 import io
@@ -102,6 +103,26 @@ def test_mpsk_points_come_from_the_constellation():
         if re.search(r"2j\s*\*\s*np\.pi", path.read_text())
     ]
     assert writers == ["constellation.py"]
+
+
+def test_sector_trigonometry_comes_from_the_constellation():
+    """cot(pi/M) and sin(pi/M) are written only in constellation.py, so the
+    margin forms, the point margin and the union bound take M from a checked
+    MpskConstellation."""
+    writers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"np\.(tan|sin)\(np\.pi", path.read_text())
+    ]
+    assert writers == ["constellation.py"]
+
+
+def test_system_params_come_from_the_spec():
+    """``SystemParams`` is built only in ``ExperimentSpec.system_params``,
+    after the spec has checked its counts, power and SNR points, and is no
+    public name, so no caller builds one the spec did not check."""
+    assert calls_outside("SystemParams", "harness", "system_params") == []
+    assert "SystemParams" not in onebit_precoding.__all__
 
 
 def test_package_import_leaves_the_cli_out():

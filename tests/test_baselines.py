@@ -313,16 +313,23 @@ class TestRegistry:
             (np.ones(3), 1.0, "H must be a K x N channel matrix"),
             (np.ones((2, 2, 2)), 1.0, "H must be a K x N channel matrix"),
             (np.array(1.0), 1.0, "H must be a K x N channel matrix"),
+            (np.array([[np.nan, 1.0], [0.0, 1.0]]), 1.0, "H must be finite"),
+            (np.array([[1.0, 0.0], [0.0, -np.inf]]), 1.0, "H must be finite"),
             (np.eye(2), 0.0, "power must be positive and finite"),
             (np.eye(2), -1.0, "power must be positive and finite"),
             (np.eye(2), np.nan, "power must be positive and finite"),
             (np.eye(2), np.inf, "power must be positive and finite"),
         ],
-        ids=["1-d", "3-d", "0-d", "zero-power", "negative-power", "nan-power", "inf-power"],
+        ids=[
+            "1-d", "3-d", "0-d", "nan-entry", "inf-entry",
+            "zero-power", "negative-power", "nan-power", "inf-power",
+        ],
     )
     def test_every_precoder_checks_channel_and_power(self, H, power, message):
         """All four precoders reject the same channel and power with the same
-        error: zero forcing returns no zero, NaN or infinite vector."""
+        error: zero forcing returns no zero, NaN or infinite vector, msm no
+        one-bit vector from a NaN channel and falm no LinAlgError from its
+        SVD."""
         for pid in available_precoders():
             with pytest.raises(ValueError, match=message):
                 get_precoder(pid)(H.astype(complex), np.array([0, 1]), MpskConstellation(4), power)

@@ -1,38 +1,44 @@
-"""Tests for system parameters and the seeded channel, symbol and noise draws."""
+"""Tests for the system parameters and the seeded channel, symbol and noise
+draws."""
 
 import numpy as np
 import pytest
 
-from onebit_precoding import SystemParams, draw_channel, draw_symbols, substream
+from onebit_precoding import ExperimentSpec, draw_channel, draw_symbols, substream
 from onebit_precoding.channel import draw_unit_noise
 
 
-def make_params(**overrides):
+def make_params(snr_db=0.0, **overrides):
+    """SystemParams at one SNR point, built the only way the package builds
+    them: through ExperimentSpec.system_params."""
     base = dict(
-        n_antennas=100, n_users=50, total_power=1.0, noise_var=1.0
+        n_antennas=100, n_users=50, block_length=1, total_power=1.0, order=4,
+        snr_db=(0.0,), precoder_ids=("zf-ob",), n_realizations=1, base_seed=0,
     )
     base.update(overrides)
-    return SystemParams(**base)
+    return ExperimentSpec(**base).system_params(snr_db)
 
 
 class TestSystemParams:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("n_antennas", 0),
             ("n_users", 0),
-            ("total_power", 0.0),
-            ("noise_var", -1.0),
-            ("total_power", np.nan),
-            ("total_power", np.inf),
-            ("noise_var", np.nan),
             ("noise_var", np.inf),
-            ("noise_var", -np.inf),
+            ("noise_var", np.nan),
         ],
     )
     def test_rejects_non_positive(self, field, value):
-        with pytest.raises(ValueError):
-            make_params(**{field: value})
+        """A bad count fails at the spec. A noise variance outside (0, inf)
+        fails at the SNR point that gives it, sigma^2 = P / 10**(snr/10):
+        inf at -inf dB, NaN at a NaN SNR."""
+        if field == "noise_var":
+            snr_db = -np.inf if value == np.inf else np.nan
+            with pytest.raises(ValueError, match="noise_var must be finite and positive"):
+                make_params(snr_db=snr_db)
+        else:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                make_params(**{field: value})
 
 
 class TestSubstream:

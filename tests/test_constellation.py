@@ -98,41 +98,64 @@ class TestConstellationType:
         assert MpskConstellation(16).bits_per_symbol == 4
 
 
+class TestCot:
+    """MpskConstellation.cot_half_sector, the cot(pi/M) of every safety margin."""
+
+    def test_bpsk_is_exactly_zero(self):
+        assert MpskConstellation(2).cot_half_sector == 0.0
+
+    def test_qpsk_is_one(self):
+        assert MpskConstellation(4).cot_half_sector == pytest.approx(1.0, abs=1e-15)
+
+    def test_eight_psk_oracle(self):
+        # cot(pi/8) = 1 + sqrt(2)
+        assert MpskConstellation(8).cot_half_sector == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-12)
+
+    def test_rejects_order_below_two(self):
+        with pytest.raises(ValueError):
+            MpskConstellation(1)
+
+    def test_is_read_only(self):
+        c = MpskConstellation(8)
+        with pytest.raises(AttributeError):
+            c.cot_half_sector = 0.0
+
+
 class TestSepUnionBound:
     def test_zero_margin_gives_one(self):
         for order in ORDERS:
-            assert sep_union_bound(0.0, 1.0, order) == 1.0
+            assert sep_union_bound(0.0, 1.0, MpskConstellation(order)) == 1.0
 
     def test_large_margin_vanishes(self):
-        assert sep_union_bound(1e6, 1.0, 8) == pytest.approx(0.0, abs=1e-12)
+        assert sep_union_bound(1e6, 1.0, MpskConstellation(8)) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_integration_oracle(self):
         # alpha=1, sigma=sqrt(2), M=4: 2*Q(sin(pi/4))
         expected = 2.0 * q_oracle(np.sin(np.pi / 4))
         assert expected == pytest.approx(0.4795001221869535, abs=1e-10)
-        assert sep_union_bound(1.0, np.sqrt(2.0), 4) == pytest.approx(expected, abs=1e-10)
+        assert sep_union_bound(1.0, np.sqrt(2.0), MpskConstellation(4)) == pytest.approx(expected, abs=1e-10)
 
     def test_negative_margin_clips_at_one(self):
-        assert sep_union_bound(-2.0, 0.5, 8) == 1.0
+        assert sep_union_bound(-2.0, 0.5, MpskConstellation(8)) == 1.0
 
     def test_monotone_in_margin_and_noise(self):
         alphas = np.linspace(-1, 4, 30)
-        values = [sep_union_bound(a, 1.0, 8) for a in alphas]
+        values = [sep_union_bound(a, 1.0, MpskConstellation(8)) for a in alphas]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
         sigmas = np.linspace(0.1, 4, 30)
-        values = [sep_union_bound(1.0, s, 8) for s in sigmas]
+        values = [sep_union_bound(1.0, s, MpskConstellation(8)) for s in sigmas]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            sep_union_bound(1.0, 0.0, 4)
+            sep_union_bound(1.0, 0.0, MpskConstellation(4))
         with pytest.raises(ValueError):
-            sep_union_bound(1.0, -1.0, 4)
+            sep_union_bound(1.0, -1.0, MpskConstellation(4))
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            sep_union_bound(0.5, sigma, 8)
+            sep_union_bound(0.5, sigma, MpskConstellation(8))
 
     def test_q_function_accuracy(self):
         # high-precision tanh-sinh quadrature oracle; plain quad is too loose

@@ -172,8 +172,7 @@ class TestRunExperiment:
 
     def test_non_finite_channel_counts_as_failure(self, monkeypatch, caplog):
         """One NaN channel entry at t=1 costs every precoder that instance:
-        msm and falm raise, and zf and zf-ob send finite or NaN rails that
-        reach the users as non-finite receptions."""
+        all four reject the channel in check_inputs with a ValueError."""
         real_streams = harness.paired_streams
 
         def streams(base_seed, realization, t, params, order):
@@ -197,9 +196,9 @@ class TestRunExperiment:
         for r in records:
             assert r.failures == 1, r.precoder
             assert r.symbol_count == (spec.block_length - 1) * spec.n_users, r.precoder
-        for pid in ("zf", "zf-ob"):
+        for pid in spec.precoder_ids:
             assert (
-                f"precoder {pid} failed with non-finite reception on 1 of 3 symbol times "
+                f"precoder {pid} failed with ValueError on 1 of 3 symbol times "
                 "of realization 0 (first at t 1); instances excluded"
             ) in caplog.messages
 
@@ -567,7 +566,7 @@ class TestSpecValidation:
         [
             ("n_antennas", 4.0), ("n_users", 2.0), ("block_length", 2.0),
             ("base_seed", 1.5), ("n_realizations", 2.0), ("n_workers", 1.0),
-            ("n_users", 0), ("n_antennas", "8"), ("n_workers", True),
+            ("n_users", 0), ("n_antennas", "8"), ("n_workers", True), ("n_antennas", 0),
         ],
     )
     def test_rejects_non_integral_counts(self, field, bad):
@@ -597,8 +596,15 @@ class TestSpecValidation:
             make_spec(snr_db=snr_db)
 
     def test_bad_power_is_named_before_snr(self):
-        with pytest.raises(ValueError, match="total_power must be finite and positive"):
+        with pytest.raises(ValueError, match="power must be positive and finite"):
             make_spec(total_power=-1.0)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_power(self, power):
+        """The spec checks P through one_bit_amplitude, the package's one
+        power rule, so NaN and inf fail as 0 and -1 do."""
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            make_spec(total_power=power)
 
     @pytest.mark.parametrize("order", [6, 1, 0])
     def test_rejects_bad_order(self, order):

@@ -20,7 +20,7 @@ from onebit_precoding import (
     quantize_one_bit,
     to_real,
 )
-from onebit_precoding.precoding import cot_half_sector, optimal_onebit_margin
+from onebit_precoding.precoding import optimal_onebit_margin
 
 
 def random_instance(rng, n_users=3, n_antennas=4, order=8, power=1.0):
@@ -34,22 +34,6 @@ def user_margin(h, x, symbol: int, order: int) -> float:
     ``symbol``, from the margin forms of a one-user instance."""
     instance = build_instance(np.array([h]), np.array([symbol]), MpskConstellation(order), 1.0)
     return min_margin(instance, to_real(x))
-
-
-class TestCot:
-    def test_bpsk_is_exactly_zero(self):
-        assert cot_half_sector(2) == 0.0
-
-    def test_qpsk_is_one(self):
-        assert cot_half_sector(4) == pytest.approx(1.0, abs=1e-15)
-
-    def test_eight_psk_oracle(self):
-        # cot(pi/8) = 1 + sqrt(2)
-        assert cot_half_sector(8) == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-12)
-
-    def test_rejects_order_below_two(self):
-        with pytest.raises(ValueError):
-            cot_half_sector(1)
 
 
 class TestBuildInstance:
@@ -80,7 +64,7 @@ class TestBuildInstance:
             s = np.exp(2j * np.pi * symbols / 8)
             u, w = inst.forms[:3], inst.forms[3:]
             for i in range(3):
-                alpha = point_margin(H[i] @ x * np.conj(s[i]), 8)
+                alpha = point_margin(H[i] @ x * np.conj(s[i]), MpskConstellation(8))
                 pair_max = max(u[i] @ x_real, w[i] @ x_real)
                 assert pair_max == pytest.approx(-alpha, abs=1e-12)
 
@@ -180,9 +164,10 @@ class TestPointMargin:
         rng = np.random.default_rng(7)
         z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         for order in (2, 4, 8, 16):
-            margins = point_margin(z, order)
+            c = MpskConstellation(order)
+            margins = point_margin(z, c)
             assert margins.shape == z.shape
-            expected = [point_margin(complex(p), order) for p in z.ravel()]
+            expected = [point_margin(complex(p), c) for p in z.ravel()]
             assert margins.ravel().tolist() == expected
 
 
@@ -193,7 +178,7 @@ class TestMinMargin:
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s = np.exp(2j * np.pi * symbols / 8)
         assert min_margin(inst, to_real(x)) == pytest.approx(
-            point_margin(H[0] @ x * np.conj(s[0]), 8), abs=1e-12
+            point_margin(H[0] @ x * np.conj(s[0]), MpskConstellation(8)), abs=1e-12
         )
 
     def test_zero_vector_gives_zero(self):
@@ -207,7 +192,7 @@ class TestMinMargin:
             H, symbols, inst = random_instance(rng)
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             s = np.exp(2j * np.pi * symbols / 8)
-            oracle = min(point_margin(H[i] @ x * np.conj(s[i]), 8) for i in range(3))
+            oracle = min(point_margin(H[i] @ x * np.conj(s[i]), MpskConstellation(8)) for i in range(3))
             assert min_margin(inst, to_real(x)) == pytest.approx(oracle, abs=1e-12)
 
 

@@ -17,13 +17,13 @@ class TestPerturb:
     """The shifted point z_hat is the point margin of z."""
 
     def test_real_point_is_unchanged(self):
-        assert point_margin(2.0 + 0j, 8) == 2.0
+        assert point_margin(2.0 + 0j, MpskConstellation(8)) == 2.0
 
     def test_qpsk_diagonal_collapses_to_zero(self):
-        assert point_margin(1 + 1j, 4) == pytest.approx(0.0, abs=1e-12)
+        assert point_margin(1 + 1j, MpskConstellation(4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_margin_point(self):
-        assert point_margin(0.2 + 0.9j, 8) == pytest.approx(
+        assert point_margin(0.2 + 0.9j, MpskConstellation(8)) == pytest.approx(
             0.2 - 0.9 * (1 + np.sqrt(2.0)), abs=1e-12
         )
 
@@ -37,13 +37,13 @@ class TestPerturb:
             cot = 0.0 if order == 2 else 1.0 / np.tan(np.pi / order)
             shifted = z - abs(z.imag) * cot - 1j * z.imag
             assert shifted.imag == pytest.approx(0.0, abs=1e-12)
-            assert shifted.real == pytest.approx(point_margin(z, order), abs=1e-12)
+            assert shifted.real == pytest.approx(point_margin(z, MpskConstellation(order)), abs=1e-12)
 
 
 def decisions(z, eta, order):
     """(dec(shifted) correct?, dec(unshifted) correct?) for one noise draw."""
     c = MpskConstellation(order)
-    return c.decide(point_margin(z, order) + eta) == 0, c.decide(z + eta) == 0
+    return c.decide(point_margin(z, c) + eta) == 0, c.decide(z + eta) == 0
 
 
 class TestCheckImplication:
@@ -65,43 +65,61 @@ class TestCheckImplication:
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_no_violations_on_random_draws(self, order):
-        assert _implication_violations(order, 2000, substream(order)) == 0
+        assert _implication_violations(MpskConstellation(order), 2000, substream(order)) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda order: point_margin(0.5 + 0.1j, order),
+        lambda order: sep_union_bound(0.5, 1.0, order),
+        lambda order: empirical_sep(0.5 + 0.1j, 1.0, order, 10, np.random.default_rng(0)),
+    ],
+    ids=["point_margin", "sep_union_bound", "empirical_sep"],
+)
+@pytest.mark.parametrize("order", [3, 8, 0])
+def test_a_bare_order_is_no_constellation(call, order):
+    """The SEP chain takes M from an MpskConstellation, whose order rule
+    then holds for every margin and bound; a bare order, valid or not,
+    gives none (M = 3 gave a bound, M = 0 a ZeroDivisionError)."""
+    with pytest.raises(AttributeError, match="order|cot_half_sector"):
+        call(order)
 
 
 class TestEmpiricalSep:
     def test_deep_snr_limit(self):
-        est = empirical_sep(10.0 + 0j, 1.0, 8, 20_000, np.random.default_rng(0))
+        est = empirical_sep(10.0 + 0j, 1.0, MpskConstellation(8), 20_000, np.random.default_rng(0))
         assert est.err_rate == 0.0
         assert est.err_rate_shifted == 0.0
 
     def test_pure_noise_is_uniform_over_sectors(self):
         for order in (4, 8):
-            est = empirical_sep(0j, 1.0, order, 100_000, np.random.default_rng(1))
+            est = empirical_sep(0j, 1.0, MpskConstellation(order), 100_000, np.random.default_rng(1))
             expected = (order - 1) / order
             assert est.err_rate == pytest.approx(expected, abs=4 * est.std_err + 1e-9)
 
     def test_chain_against_closed_form(self):
-        z, sigma, order, trials = 1.0 + 0j, 0.5, 8, 200_000
-        est = empirical_sep(z, sigma, order, trials, substream(2, 5))
-        alpha = point_margin(z, order)
-        bound = sep_union_bound(alpha, sigma, order)
+        z, sigma, c, trials = 1.0 + 0j, 0.5, MpskConstellation(8), 200_000
+        est = empirical_sep(z, sigma, c, trials, substream(2, 5))
+        alpha = point_margin(z, c)
+        bound = sep_union_bound(alpha, sigma, c)
         assert est.err_rate <= est.err_rate_shifted  # exact under paired noise
         assert est.err_rate_shifted <= bound + 3 * est.std_err_shifted
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            empirical_sep(1.0, 1.0, 8, 0, np.random.default_rng(0))
+            empirical_sep(1.0, 1.0, MpskConstellation(8), 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            empirical_sep(1.0, 0.0, 8, 10, np.random.default_rng(0))
+            empirical_sep(1.0, 0.0, MpskConstellation(8), 10, np.random.default_rng(0))
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            empirical_sep(1.0, sigma, 8, 100, np.random.default_rng(0))
+            empirical_sep(1.0, sigma, MpskConstellation(8), 100, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
-        a = empirical_sep(0.4 + 0.2j, 0.7, 4, 5000, substream(3))
-        b = empirical_sep(0.4 + 0.2j, 0.7, 4, 5000, substream(3))
+        a = empirical_sep(0.4 + 0.2j, 0.7, MpskConstellation(4), 5000, substream(3))
+        b = empirical_sep(0.4 + 0.2j, 0.7, MpskConstellation(4), 5000, substream(3))
         assert a == b
 
 
