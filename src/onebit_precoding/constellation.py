@@ -30,6 +30,8 @@ def sep_union_bound(alpha: float, sigma: float, constellation: MpskConstellation
     # Written so that NaN fails too.
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if math.isnan(alpha):  # min(1.0, nan) would read as a clipped bound
+        raise ValueError(f"alpha must not be NaN, got {alpha}")
     arg = alpha * np.sqrt(2.0) / sigma * np.sin(np.pi / constellation.order)
     return float(min(1.0, 2.0 * q_function(arg)))
 

@@ -22,7 +22,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+
+try:  # private scipy API, on purpose: the HiGHS binding that scipy.optimize ships
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+except ImportError as error:
+    raise ImportError("onebit_precoding needs scipy >= 1.17 for scipy.optimize._highspy._core") from error
 
 from .constellation import MpskConstellation
 
@@ -149,27 +153,29 @@ def relaxed_lp(instance: PrecodingInstance) -> tuple:
     """(x, t*) of the box relaxation of the max-min-margin design (Jedda,
     Mezghani, Nossek & Swindlehurst, SPAWC 2017): over [x; t], maximize t
     subject to every margin form + t <= 0 and |x_j| <= sqrt(P/2N). t* bounds
-    every one-bit margin from above. It goes through ``milp`` (no
-    integrality, so an LP), whose per-call input checks cost less than
-    ``linprog``'s, with HiGHS's presolve off: it reduces nothing on these
-    dense LPs and took a fifth to a quarter of the solve time. A failed
-    solve raises RuntimeError."""
-    a = instance.amplitude
-    n2 = 2 * instance.n_antennas
-    forms = instance.forms
-    objective = np.zeros(n2 + 1)
-    objective[-1] = -1.0
-    upper = np.full(n2 + 1, a)
+    every one-bit margin from above. The LP goes straight to scipy's HiGHS
+    binding as 2K empty rows and one call that adds the dense column-major
+    [forms | 1], with presolve off: it reduces nothing on these dense LPs.
+    A status other than optimal raises RuntimeError with HiGHS's text."""
+    n_rows, n2 = instance.forms.shape
+    cost = np.zeros(n2 + 1)
+    cost[n2] = -1.0
+    upper = np.full(n2 + 1, instance.amplitude)
     upper[n2] = np.inf
-    solution = milp(
-        objective,
-        constraints=LinearConstraint(np.hstack([forms, np.ones((forms.shape[0], 1))]), -np.inf, 0.0),
-        bounds=Bounds(-upper, upper),
-        options={"presolve": False},
-    )
-    if solution.status != 0:
-        raise RuntimeError(f"box-relaxed LP solve failed: {solution.message}")
-    return solution.x[:n2], float(-solution.fun)
+    values = np.hstack([instance.forms, np.ones((n_rows, 1))]).ravel(order="F")
+    no_entries = np.empty(0, dtype=np.int32)
+    highs = _Highs()
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("output_flag", False)
+    highs.addRows(n_rows, np.full(n_rows, -np.inf), np.zeros(n_rows), 0, no_entries, no_entries, np.empty(0))
+    starts = np.arange(0, values.size, n_rows, dtype=np.int32)
+    rows = np.tile(np.arange(n_rows, dtype=np.int32), n2 + 1)
+    highs.addCols(n2 + 1, cost, -upper, upper, values.size, starts, rows, values)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"box-relaxed LP solve failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value[:n2]), -highs.getObjectiveValue()
 
 
 def point_margin(z, constellation: MpskConstellation):

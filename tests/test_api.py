@@ -1,8 +1,9 @@
 """The public API has no name that only the tests use, no module reaches
 into another's private names, one function constructs every one-bit
 vector, one draws every Gaussian sample and one builds every SystemParams,
-the MPSK points and sector trigonometry live in constellation.py, the
-package does not load its CLI, and the calls the benchmark makes still work."""
+one module imports the LP solver, the MPSK points and sector trigonometry
+live in constellation.py, the package does not load its CLI, and the calls
+the benchmark makes still work."""
 
 import ast
 import io
@@ -123,6 +124,27 @@ def test_system_params_come_from_the_spec():
     public name, so no caller builds one the spec did not check."""
     assert calls_outside("SystemParams", "harness", "system_params") == []
     assert "SystemParams" not in onebit_precoding.__all__
+
+
+def test_lp_solver_is_imported_only_by_precoding():
+    """precoding.py is the one module that imports ``scipy.optimize`` or
+    the HiGHS binding it ships, so ``relaxed_lp`` is the one home of the box
+    LP and ``baselines`` solves it only through that function. Importing
+    the binding, ``scipy.optimize._highspy._core``, is deliberate although
+    it is private scipy API: it builds the dense LP without ``milp``'s
+    per-call sparse rebuild and checks."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(module.startswith("scipy.optimize") for module in modules):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["precoding.py"]
 
 
 def test_package_import_leaves_the_cli_out():

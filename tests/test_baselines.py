@@ -2,11 +2,10 @@
 registry."""
 
 import itertools
-import types
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from onebit_precoding import (
     MpskConstellation,
@@ -51,7 +50,7 @@ def solve_hermitian_by_elimination(A, b):
 def presolved_linprog(instance):
     """MSM's LP written independently for ``linprog`` and solved with
     HiGHS's defaults, presolve on: the reference for the presolve-free
-    ``milp`` solve of ``relaxed_lp``."""
+    solve of ``relaxed_lp``."""
     a = instance.amplitude
     n2 = 2 * instance.n_antennas
     forms = instance.forms
@@ -67,6 +66,39 @@ def presolved_linprog(instance):
         bounds=bounds,
         method="highs",
     )
+
+
+def milp_lp(instance):
+    """MSM's LP through ``milp`` with presolve off, as ``relaxed_lp``
+    solved it before it built the HiGHS model itself: the oracle that pins
+    ``relaxed_lp`` bit for bit."""
+    n2 = 2 * instance.n_antennas
+    objective = np.zeros(n2 + 1)
+    objective[-1] = -1.0
+    upper = np.full(n2 + 1, instance.amplitude)
+    upper[n2] = np.inf
+    forms = instance.forms
+    solution = milp(
+        objective,
+        constraints=LinearConstraint(np.hstack([forms, np.ones((forms.shape[0], 1))]), -np.inf, 0.0),
+        bounds=Bounds(-upper, upper),
+        options={"presolve": False},
+    )
+    assert solution.status == 0
+    return solution.x[:n2], float(-solution.fun)
+
+
+class InfeasibleHighs(precoding._Highs):
+    """The HiGHS binding, but every solve reports an infeasible model."""
+
+    def run(self):
+        pass
+
+    def getModelStatus(self):
+        return precoding.HighsModelStatus.kInfeasible
+
+    def modelStatusToString(self, status):
+        return "The problem is infeasible."
 
 
 class TestZfPrecode:
@@ -196,6 +228,20 @@ class TestLpSolve:
                 best = t
         assert t_star == pytest.approx(best, abs=1e-6)
 
+    @pytest.mark.parametrize("order", [8, 16])
+    @pytest.mark.parametrize("n_antennas, n_users, count", [(8, 4, 20), (32, 8, 20), (128, 24, 10)])
+    def test_bit_identical_to_milp(self, order, n_antennas, n_users, count):
+        """The HiGHS model ``relaxed_lp`` builds is the LP ``milp`` builds:
+        the same maximizer and the same t*, bit for bit."""
+        rng = np.random.default_rng(order * 1000 + n_antennas)
+        for _ in range(count):
+            H = draw_channel(n_users, n_antennas, rng)
+            instance = build_instance(H, rng.integers(0, order, size=n_users), MpskConstellation(order), 1.0)
+            x, t_star = relaxed_lp(instance)
+            x_ref, t_ref = milp_lp(instance)
+            assert np.array_equal(x, x_ref)
+            assert t_star == t_ref
+
 
 class TestMsmPrecode:
     def test_single_user_bpsk_matches_enumeration(self):
@@ -249,8 +295,7 @@ class TestMsmPrecode:
 
     def test_lp_failure_raises(self, monkeypatch):
         instance = build_instance(np.eye(2, dtype=complex), np.array([0, 1]), MpskConstellation(4), 1.0)
-        failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
-        monkeypatch.setattr(precoding, "milp", lambda *args, **kwargs: failed)
+        monkeypatch.setattr(precoding, "_Highs", InfeasibleHighs)
         with pytest.raises(RuntimeError, match="infeasible"):
             msm_precode(instance)
 

@@ -157,6 +157,15 @@ class TestSepUnionBound:
         with pytest.raises(ValueError, match="sigma"):
             sep_union_bound(0.5, sigma, MpskConstellation(8))
 
+    def test_rejects_nan_margin(self):
+        with pytest.raises(ValueError, match="alpha"):
+            sep_union_bound(float("nan"), 1.0, MpskConstellation(8))
+
+    def test_infinite_margins_give_zero_and_one(self):
+        c = MpskConstellation(8)
+        assert sep_union_bound(float("inf"), 1.0, c) == 0.0
+        assert sep_union_bound(float("-inf"), 1.0, c) == 1.0
+
     def test_q_function_accuracy(self):
         # high-precision tanh-sinh quadrature oracle; plain quad is too loose
         # in the deep tail

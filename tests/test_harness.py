@@ -4,7 +4,6 @@ error accounting."""
 import dataclasses
 import logging
 import os
-import types
 
 import numpy as np
 import pytest
@@ -360,8 +359,15 @@ class TestRunExperiment:
         symbol time's falm solve, and the other precoders count as before."""
         spec = make_spec(precoder_ids=("falm", "zf-ob"), n_realizations=2)
         before = run_experiment(spec)
-        failed = types.SimpleNamespace(status=2, message="The problem is infeasible.")
-        monkeypatch.setattr(precoding, "milp", lambda *args, **kwargs: failed)
+
+        class InfeasibleHighs(precoding._Highs):
+            def run(self):
+                pass
+
+            def getModelStatus(self):
+                return precoding.HighsModelStatus.kInfeasible
+
+        monkeypatch.setattr(precoding, "_Highs", InfeasibleHighs)
         after = run_experiment(spec)
         n = len(spec.snr_db)
         assert all(r.failures == 2 * spec.block_length and r.symbol_count == 0 for r in after[:n])
