@@ -6,23 +6,10 @@ baselines, SEP-bound verification machinery, and a reproducible Monte-Carlo
 BER harness with a CLI.
 """
 
-from .baselines import (
-    available_precoders,
-    get_precoder,
-    msm_precode,
-    zf_onebit,
-    zf_precode,
-)
+from .baselines import available_precoders, get_precoder, msm_precode, zf_onebit
 from .channel import draw_channel, draw_symbols, substream
-from .constellation import MpskConstellation, q_function, sep_union_bound
-from .falm import (
-    SolveReport,
-    SolverConfig,
-    SolverFailure,
-    falm_solve,
-    smoothed_objective,
-    update_v,
-)
+from .constellation import MpskConstellation, sep_union_bound
+from .falm import SolveReport, SolverConfig, SolverFailure, falm_solve
 from .harness import BerRecord, ExperimentSpec, paired_streams, run_experiment
 from .precoding import (
     OneBitVector,
@@ -57,14 +44,10 @@ __all__ = [
     "one_bit_amplitude",
     "paired_streams",
     "point_margin",
-    "q_function",
     "quantize_one_bit",
     "run_experiment",
     "sep_union_bound",
-    "smoothed_objective",
     "substream",
     "to_real",
-    "update_v",
     "zf_onebit",
-    "zf_precode",
 ]

@@ -20,7 +20,6 @@ import argparse
 import csv
 import logging
 import math
-import os
 import sys
 from contextlib import nullcontext
 from typing import Optional
@@ -34,8 +33,6 @@ from .falm import SolverConfig, falm_solve
 from .harness import ExperimentSpec, run_experiment
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
 from .sep_analysis import run_verification
-
-WORKERS_ENV = "ONEBIT_PRECODING_WORKERS"
 
 # Solver flag -> help; the flag names a SolverConfig field, which holds the default.
 SOLVER_FLAGS = {
@@ -254,8 +251,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=100, help="channel realizations")
     run.add_argument("--precoders", type=str, default="falm,msm,zf-ob,zf", help=f"comma list from {available_precoders()}")
     run.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    run.add_argument("--workers", type=int, default=os.environ.get(WORKERS_ENV, "1"),
-                     help=f"worker processes; ${WORKERS_ENV} sets the default")
+    run.add_argument("--workers", type=int, default=1, help="worker processes")
     run.add_argument("--config", type=str, default=None, help="key = value file; flags override")
     run.add_argument("--out", type=str, required=True, help="output CSV path")
     if config:
@@ -263,13 +259,11 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-sep", help="verify the SEP bound machinery")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--implication-draws", type=int, default=100_000)
-    verify.add_argument("--bound-trials", type=int, default=1_000_000)
 
     solve = sub.add_parser("solve-one", help="solve one random instance")
     _add_system_flags(solve, antennas=32, users=8, mod="psk8")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--trace", type=str, default=None, help="per-iteration trace CSV")
+    solve.add_argument("--trace", type=str, default=None, help="trace CSV, one row per penalty level")
 
     oracle = sub.add_parser("oracle-compare", help="solver vs brute force on tiny instances")
     _add_system_flags(oracle, antennas=2, users=2, mod="psk4")
@@ -287,14 +281,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_sep(args) -> int:
-    check_count("implication-draws", args.implication_draws)
-    check_count("bound-trials", args.bound_trials)
     check_count("seed", args.seed, least=0)
-    results = run_verification(
-        seed=args.seed,
-        implication_draws=args.implication_draws,
-        bound_trials=args.bound_trials,
-    )
+    results = run_verification(seed=args.seed)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:

@@ -81,9 +81,12 @@ class MpskConstellation:
         Sectors are half-open, [2*pi*n/M - pi/M, 2*pi*n/M + pi/M), so a phase
         exactly on an edge goes to the higher-index sector. y = 0 decodes to
         index 0 (documented tie-break for a measure-zero event).
-        Accepts scalars or arrays; returns int or an int array.
+        Accepts scalars or arrays; returns int or an int array. A NaN or
+        infinite part in y raises ValueError: it lies in no sector.
         """
         arr = np.asarray(y)
+        if not np.isfinite(arr).all():
+            raise ValueError("y must be finite, got a NaN or infinite entry")
         idx = np.floor(
             self.order * np.angle(arr) / (2.0 * np.pi) + 0.5 + _BOUNDARY_GUARD
         ).astype(np.int64) % self.order

@@ -52,8 +52,11 @@ def to_real(x: np.ndarray) -> np.ndarray:
 
 def quantize_one_bit(x_real: np.ndarray, power: float) -> OneBitVector:
     """Snap a real 2N-vector onto the one-bit alphabet {+/- sqrt(P/2N)}^2N,
-    ties to +. The one constructor of OneBitVector in the package."""
+    ties to +. The one constructor of OneBitVector in the package. A NaN or
+    infinite entry raises ValueError: it has no sign to snap to."""
     x_real = np.asarray(x_real, dtype=float)
+    if not np.isfinite(x_real).all():
+        raise ValueError("x_real must be finite, got a NaN or infinite entry")
     a = one_bit_amplitude(power, x_real.size // 2)
     return OneBitVector(np.where(x_real >= 0, a, -a), power)
 
@@ -99,6 +102,8 @@ class PrecodingInstance:
         # K, N >= 1: no margin without a user, no amplitude sqrt(P/2N) without an antenna
         if forms.ndim != 2 or forms.size == 0 or forms.shape[0] % 2 != 0 or forms.shape[1] % 2 != 0:
             raise ValueError(f"forms must be a 2K x 2N array, got shape {forms.shape}")
+        if not np.isfinite(forms).all():
+            raise ValueError("forms must be finite, got a NaN or infinite entry")
         one_bit_amplitude(self.power, forms.shape[1] // 2)  # the power check
         forms.flags.writeable = False
         object.__setattr__(self, "forms", forms)

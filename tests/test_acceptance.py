@@ -23,12 +23,10 @@ from onebit_precoding import (
     point_margin,
     run_experiment,
     sep_union_bound,
-    smoothed_objective,
     substream,
-    update_v,
 )
 from onebit_precoding.cli import oracle_counts, write_csv
-from onebit_precoding.falm import _apg, apg_step
+from onebit_precoding.falm import _apg, apg_step, smoothed_objective, update_v
 from onebit_precoding.sep_analysis import _implication_violations
 
 

@@ -20,9 +20,9 @@ from onebit_precoding import (
     quantize_one_bit,
     to_real,
     zf_onebit,
-    zf_precode,
 )
 from onebit_precoding import baselines, precoding
+from onebit_precoding.baselines import zf_precode
 from onebit_precoding.precoding import optimal_onebit_margin, relaxed_lp
 
 

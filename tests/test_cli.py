@@ -9,7 +9,6 @@ from onebit_precoding import BerRecord, SolverConfig, falm_solve
 from onebit_precoding import cli
 from onebit_precoding.cli import (
     CSV_COLUMNS,
-    WORKERS_ENV,
     CliError,
     format_snr,
     main,
@@ -18,6 +17,7 @@ from onebit_precoding.cli import (
     read_config_file,
     write_csv,
 )
+from onebit_precoding.sep_analysis import run_verification
 
 
 # A small system, so that a solver value that slipped past validation would
@@ -200,7 +200,6 @@ class TestRunCommand:
     def test_default_header_is_stable(self, tmp_path, monkeypatch):
         """The replay header's keys, order and default values; its solver
         entries are SolverConfig()'s own defaults."""
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
         monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
         out = tmp_path / "o.csv"
         assert main(["run", "--out", str(out)]) == 0
@@ -391,9 +390,9 @@ class TestOtherCommands:
             ("run", ["--block", "0"], "--block"),
             ("run", ["--trials", "0"], "--trials"),
             ("run", ["--workers", "0"], "--workers"),
-            ("verify-sep", ["--implication-draws", "0"], "--implication-draws"),
-            ("verify-sep", ["--implication-draws", "-3"], "--implication-draws"),
-            ("verify-sep", ["--bound-trials", "0"], "--bound-trials"),
+            ("run", ["--mod", "psk3"], "--mod"),
+            ("solve-one", ["--mod", "qam16"], "--mod"),
+            ("oracle-compare", ["--mod", "psk1"], "--mod"),
             ("solve-one", ["--power", "0"], "--power"),
             ("run", ["--power", "nan"], "--power"),
             ("run", ["--seed", "-1"], "--seed"),
@@ -417,23 +416,28 @@ class TestOtherCommands:
         assert err.startswith(f"error: {named} ")
         assert not out.exists()
 
-    def test_verify_sep_quick(self, capsys):
-        code = main(
-            ["verify-sep", "--seed", "0", "--implication-draws", "20000",
-             "--bound-trials", "40000"]
-        )
+    def test_verify_sep_quick(self, capsys, monkeypatch):
+        """At reduced scale: the CLI's verification run gets fewer draws."""
+        quick = functools.partial(run_verification, implication_draws=20_000, bound_trials=40_000)
+        monkeypatch.setattr(cli, "run_verification", quick)
+        code = main(["verify-sep", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert "verification: PASS" in out
         assert "implication M=16" in out
+
+    @pytest.mark.parametrize("flag", ["--implication-draws", "--bound-trials"])
+    def test_verify_sep_takes_no_draw_counts(self, capsys, flag):
+        assert main(["verify-sep", flag, "10"]) == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) != 0
 
 
 class TestWorkers:
-    """ONEBIT_PRECODING_WORKERS sets the worker count when --workers is not
-    given, the flag overrides it, and the header records the resolved count."""
+    """--workers, else a config file's workers, sets the worker count, and the
+    header records it; no environment variable does."""
 
     def run(self, tmp_path, monkeypatch, *flags):
         specs = []
@@ -442,14 +446,20 @@ class TestWorkers:
         assert main(["run", "--precoders", "zf", "--out", str(out), *flags]) == 0
         return specs[0].n_workers, out.read_text().splitlines()
 
-    def test_environment_sets_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
+    def test_environment_does_not_set_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ONEBIT_PRECODING_WORKERS", "3")
         workers, lines = self.run(tmp_path, monkeypatch)
-        assert workers == 3
-        assert "# workers = 3" in lines
+        assert workers == 1
+        assert "# workers = 1" in lines
 
-    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
+    def test_flag_sets_workers(self, tmp_path, monkeypatch):
         workers, lines = self.run(tmp_path, monkeypatch, "--workers", "2")
+        assert workers == 2
+        assert "# workers = 2" in lines
+
+    def test_config_file_sets_workers(self, tmp_path, monkeypatch):
+        config = tmp_path / "config"
+        config.write_text("workers = 2\n")
+        workers, lines = self.run(tmp_path, monkeypatch, "--config", str(config))
         assert workers == 2
         assert "# workers = 2" in lines

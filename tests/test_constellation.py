@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from onebit_precoding import MpskConstellation, q_function, sep_union_bound
+from onebit_precoding import MpskConstellation, sep_union_bound
+from onebit_precoding.constellation import q_function
 
 ORDERS = [2, 4, 8, 16]
 
@@ -31,6 +32,16 @@ class TestDecide:
     def test_zero_sample_tie_break(self):
         for order in ORDERS:
             assert MpskConstellation(order).decide(0j) == 0
+
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(1.0, -np.inf)]
+    )
+    def test_rejects_non_finite_reception(self, bad):
+        """A NaN or infinite part lies in no sector, so it decodes to no
+        index, in an array or alone."""
+        for y in (np.array([bad, 1 + 0j]), bad):
+            with pytest.raises(ValueError, match="y must be finite"):
+                MpskConstellation(8).decide(y)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_matches_max_correlation_oracle(self, order):

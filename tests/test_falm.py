@@ -17,10 +17,9 @@ from onebit_precoding import (
     draw_symbols,
     falm_solve,
     min_margin,
-    smoothed_objective,
-    update_v,
 )
 from onebit_precoding import falm
+from onebit_precoding.falm import smoothed_objective, update_v
 from onebit_precoding.precoding import optimal_onebit_margin, relaxed_lp
 
 
@@ -308,13 +307,14 @@ class TestApg:
         assert achieved == pytest.approx(oracle_val, abs=1e-3)
 
     def test_failure_on_non_finite_objective(self):
+        forms = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
         cases = [
-            # u_0 = [inf, 0] (forms[:1]), w_0 = [0, 0] (forms[1:])
-            ([[np.inf, 0.0], [0.0, 0.0]], [0.0, 0.0], 0.0, [1.0, 1.0], "at the APG starting point"),
+            # Every rail at +a = 0.5, where p . v = 4 * 0.5e308 overflows.
+            # Instances hold finite forms only, so the penalty overflows.
+            (forms, [1e308] * 4, 1.0, [0.5] * 4, "at the APG starting point"),
             # Finite at x = 0, but the penalty's gradient pushes every rail
-            # to +a = 0.5, where p . v = 4 * 0.5e308 overflows.
-            ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], [1e308] * 4, 1.0, [0.0] * 4,
-             "during APG iteration"),
+            # to +a = 0.5.
+            (forms, [1e308] * 4, 1.0, [0.0] * 4, "during APG iteration"),
         ]
         for forms, v, lam, x_init, where in cases:
             inst = PrecodingInstance(np.array(forms), power=1.0)

@@ -111,6 +111,15 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             PrecodingInstance(np.zeros(shape), 1.0)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_instance_rejects_non_finite_forms(self, entry):
+        """No LP or FALM solve of a NaN or infinite form: the instance
+        itself rejects it."""
+        forms = np.ones((4, 8))
+        forms[1, 2] = entry
+        with pytest.raises(ValueError, match="forms must be finite"):
+            PrecodingInstance(forms, 1.0)
+
     @pytest.mark.parametrize("power", [0.0, -1.0, np.nan, np.inf])
     def test_instance_rejects_bad_power(self, power):
         """At P = 0 the one-bit alphabet collapses to 0; a negative or NaN
@@ -240,12 +249,16 @@ class TestOneBitVector:
             (np.zeros((2, 2)), "flat 2N vector"),
             (np.zeros(0), "N >= 1"),
             (np.float64(0.5), "N >= 1"),
+            ([np.nan, 1.0, 1.0, 1.0], "x_real must be finite"),
+            ([1.0, np.inf, 1.0, 1.0], "x_real must be finite"),
+            ([1.0, 1.0, -np.inf, 1.0], "x_real must be finite"),
         ],
-        ids=["odd-length", "2-d", "empty", "0-d"],
+        ids=["odd-length", "2-d", "empty", "0-d", "nan", "inf", "-inf"],
     )
     def test_quantize_rejects_malformed_input(self, x_real, message):
         """A vector that is no flat 2N-vector with N >= 1 gets no rails: odd
-        length and 2-D input name their shape, empty and 0-d input name N."""
+        length and 2-D input name their shape, empty and 0-d input name N.
+        A NaN or infinite entry has no sign, so it gets none either."""
         with pytest.raises(ValueError, match=message):
             quantize_one_bit(np.asarray(x_real), 1.0)
 

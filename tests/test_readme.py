@@ -1,7 +1,10 @@
-"""README's examples run as written."""
+"""README's Python example runs and its CLI examples parse, as written."""
 
 import pathlib
 import re
+import shlex
+
+from onebit_precoding import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,16 @@ def test_library_use_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     margin = float(capsys.readouterr().out.split()[0])
     assert margin > 0
+
+
+def test_cli_examples_parse():
+    """Each `onebit-precoding ...` line of the CLI section's shell block,
+    backslash continuations joined, parses with the CLI's own parser, so a
+    flag the CLI no longer has cannot stay in the docs. Nothing runs."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("onebit-precoding ")]
+    commands = [shlex.split(line) for line in lines]
+    assert len(commands) == 5
+    for words in commands:
+        cli.build_parser().parse_args(words[1:])
