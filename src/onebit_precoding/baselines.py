@@ -4,6 +4,8 @@ plus the string-keyed precoder registry used by the harness."""
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,7 +18,6 @@ from .precoding import (
     check_inputs,
     one_bit_amplitude,
     quantize_one_bit,
-    relaxed_lp,
     to_real,
 )
 
@@ -44,10 +45,12 @@ def zf_onebit(H: np.ndarray, symbols, constellation: MpskConstellation, power: f
 
 
 def msm_precode(instance: PrecodingInstance) -> SolveReport:
-    """Maximum-safety-margin design: solve the box-relaxed LP, then quantize
-    componentwise by sign (ties to +). The LP's maximizer is FALM's start,
-    so the report is FALM's before its first outer iteration: no steps."""
-    x, t_star = relaxed_lp(instance)
+    """Maximum-safety-margin design: the box-relaxed LP's maximizer,
+    quantized componentwise by sign (ties to +). The LP comes from
+    ``instance.relaxed``, so an instance FALM has already solved is not
+    solved again. The maximizer is FALM's start, so the report is FALM's
+    before its first outer iteration: no steps."""
+    x, t_star = instance.relaxed
     return SolveReport.quantized(instance, x, [], t_star)
 
 
@@ -59,12 +62,37 @@ def msm_precode(instance: PrecodingInstance) -> SolveReport:
 Precoder = Callable[[np.ndarray, np.ndarray, MpskConstellation, float], np.ndarray]
 
 
+# [H, symbols, constellation, power, instance] of the first one-bit entry
+# called in the open symbol_time() scope, [] before it, None outside one. A
+# ContextVar, so a scope is seen only by the thread that opened it.
+_symbol_time = ContextVar("symbol_time", default=None)
+
+
+@contextlib.contextmanager
+def symbol_time():
+    """Scope of one symbol time: its one-bit entries share the instance, and
+    the box LP solve, of the first of them, if called with the very same H
+    and symbols objects and an equal constellation and power."""
+    token = _symbol_time.set([])
+    try:
+        yield
+    finally:
+        _symbol_time.reset(token)
+
+
 def _one_bit_entry(solve):
-    """The precoder that builds each instance and returns the one-bit vector
-    of ``solve(instance)``'s report."""
+    """The precoder that builds each instance, or takes the one its
+    symbol_time() scope holds, and returns the one-bit vector of
+    ``solve(instance)``'s report."""
 
     def precode(H, symbols, constellation, power):
-        instance = build_instance(H, symbols, constellation, power)
+        shared = _symbol_time.get()
+        if shared and shared[0] is H and shared[1] is symbols and shared[2:4] == [constellation, power]:
+            instance = shared[4]
+        else:
+            instance = build_instance(H, symbols, constellation, power)
+            if shared == []:
+                shared += [H, symbols, constellation, power, instance]
         return solve(instance).x_onebit.to_complex()
 
     return precode

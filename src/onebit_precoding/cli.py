@@ -180,7 +180,7 @@ def write_csv(records, path: str, header: dict):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in header.items():
             fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
             writer.writerow(

@@ -32,7 +32,6 @@ from .precoding import (
     PrecodingInstance,
     min_margin,
     quantize_one_bit,
-    relaxed_lp,
 )
 
 # APG caps of the first outer iterations, lambda = 0.01 and 0.1 by default;
@@ -365,7 +364,9 @@ def falm_solve(
 ) -> SolveReport:
     """Run the full penalty continuation and return the quantized solution.
 
-    The box LP is solved first, for its optimum t* and its maximizer.
+    It reads the box LP's optimum t* and maximizer from
+    ``instance.relaxed``, which solves the LP on first use, so an instance
+    that MSM has already solved is not solved again.
     ``init`` is None (x0 = the LP's maximizer, the standard start) or a real
     2N vector that replaces it; v0 = 0 either way. The APG calls take the
     caps of ``EARLY_APG_CAPS`` in turn, whatever the start, then
@@ -379,7 +380,7 @@ def falm_solve(
     if config is None:
         config = SolverConfig()
     n2 = 2 * instance.n_antennas
-    x, t_star = relaxed_lp(instance)
+    x, t_star = instance.relaxed
     if init is not None:
         x = np.array(init, dtype=float)
         if x.shape != (n2,):

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .baselines import get_precoder
+from .baselines import get_precoder, symbol_time
 from .channel import (
     CHANNEL_STREAM,
     NOISE_STREAM,
@@ -113,7 +113,9 @@ class ExperimentSpec:
 class BerRecord:
     """One (precoder, SNR) measurement row. wall_time_s is the cumulative
     precoding compute time of that precoder over the whole run (telemetry;
-    the only field that varies between identical runs)."""
+    the only field that varies between identical runs). falm and msm share
+    each symbol time's instance and box LP, whose time goes to whichever of
+    them runs first."""
 
     precoder: str
     snr_db: float
@@ -185,24 +187,26 @@ def _realization_counts(spec: ExperimentSpec, realization: int) -> RealizationCo
         H, symbols, unit_noise = paired_streams(
             spec.base_seed, realization, t, params, spec.order
         )
-        for p, precoder in enumerate(precoders):
-            start = time.perf_counter()
-            try:
-                x = precoder(H, symbols, constellation, spec.total_power)
-            except Exception as exc:
+        # One instance, and one box LP solve, serves falm and msm at t.
+        with symbol_time():
+            for p, precoder in enumerate(precoders):
+                start = time.perf_counter()
+                try:
+                    x = precoder(H, symbols, constellation, spec.total_power)
+                except Exception as exc:
+                    seconds[p] += time.perf_counter() - start
+                    failed.setdefault((p, type(exc).__name__), [exc, t, 0])[2] += 1
+                    continue
                 seconds[p] += time.perf_counter() - start
-                failed.setdefault((p, type(exc).__name__), [exc, t, 0])[2] += 1
-                continue
-            seconds[p] += time.perf_counter() - start
-            noiseless = H @ x
-            if not np.isfinite(noiseless).all():
-                failed.setdefault((p, "non-finite reception"), [None, t, 0])[2] += 1
-                continue
-            ok_instances[p] += 1
-            # One row per SNR point.
-            detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
-            symbol_errors[p] += detected != symbols
-            bit_errors[p] += constellation.bit_distances[symbols, detected]
+                noiseless = H @ x
+                if not np.isfinite(noiseless).all():
+                    failed.setdefault((p, "non-finite reception"), [None, t, 0])[2] += 1
+                    continue
+                ok_instances[p] += 1
+                # One row per SNR point.
+                detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
+                symbol_errors[p] += detected != symbols
+                bit_errors[p] += constellation.bit_distances[symbols, detected]
     for (p, kind), (exc, t, count) in failed.items():
         failures[p] += count
         logger.warning(

@@ -124,6 +124,15 @@ class PrecodingInstance:
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self.forms, 2))
 
+    @cached_property
+    def relaxed(self) -> tuple:
+        """(x, t*) of ``relaxed_lp``, solved once per instance: MSM quantizes
+        x and FALM starts from it. x is read-only, so the solvers sharing it
+        cannot change it. A failed solve raises and caches nothing."""
+        x, t_star = relaxed_lp(self)
+        x.flags.writeable = False
+        return x, t_star
+
 
 def check_inputs(H, symbols, constellation: MpskConstellation) -> tuple:
     """(H, symbols) as arrays, checked as every precoder needs: a finite K x N

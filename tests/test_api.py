@@ -126,6 +126,13 @@ def test_system_params_come_from_the_spec():
     assert "SystemParams" not in onebit_precoding.__all__
 
 
+def test_box_lp_is_solved_only_by_the_instance():
+    """``PrecodingInstance.relaxed`` is the one caller of ``relaxed_lp`` in
+    the package, so FALM and MSM read one cached solve per instance and no
+    precoder solves the box LP a second time."""
+    assert calls_outside("relaxed_lp", "precoding", "relaxed") == []
+
+
 def test_lp_solver_is_imported_only_by_precoding():
     """precoding.py is the one module that imports ``scipy.optimize`` or
     the HiGHS binding it ships, so ``relaxed_lp`` is the one home of the box

@@ -155,6 +155,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(first), "--out", str(second)]) == 0
         assert strip_timing(first.read_text()) == strip_timing(second.read_text())
 
+    def test_csv_lines_end_in_newline_alone(self, tmp_path):
+        """Header and data lines alike end in \\n, with no \\r, and the CSV
+        still replays."""
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["run", *SMALL, "--block", "2", "--trials", "2", "--snr", "0,10", "--precoders", "zf-ob"]
+        assert main(args + ["--out", str(first)]) == 0
+        assert main(["run", "--config", str(first), "--out", str(second)]) == 0
+        for path in (first, second):
+            assert b"\r" not in path.read_bytes()
+        assert strip_timing(first.read_text()) == strip_timing(second.read_text())
+
     @pytest.mark.parametrize("snr", ["10,nan", "nan,10"])
     def test_rejects_non_finite_snr(self, tmp_path, capsys, snr):
         out = tmp_path / "x.csv"

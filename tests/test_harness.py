@@ -4,12 +4,14 @@ error accounting."""
 import dataclasses
 import logging
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from onebit_precoding import (
     ExperimentSpec,
+    MpskConstellation,
     SolverConfig,
     paired_streams,
     run_experiment,
@@ -430,6 +432,111 @@ class TestRunExperiment:
             for got, expected in zip(counts[:4], harness._realization_counts(spec, r)[:4]):
                 np.testing.assert_array_equal(got, expected)
         assert r == 2
+
+
+class CountingHighs(precoding._Highs):
+    """The HiGHS binding, counting the LPs it solves."""
+
+    runs = 0
+
+    def run(self):
+        type(self).runs += 1
+        return super().run()
+
+
+class TestOneBoxLpPerSymbolTime:
+    """falm and msm share one instance, and one box LP solve, per symbol
+    time of a sweep, and each still reports what it would alone."""
+
+    @pytest.mark.parametrize("precoder_ids", [("falm", "msm"), ("falm",), ("msm",)])
+    def test_desk_scale_run_solves_one_lp_per_symbol_time(self, monkeypatch, precoder_ids):
+        monkeypatch.setattr(CountingHighs, "runs", 0)
+        monkeypatch.setattr(precoding, "_Highs", CountingHighs)
+        spec = make_spec(
+            n_antennas=32, n_users=8, block_length=10, order=8, precoder_ids=precoder_ids,
+            n_realizations=2, snr_db=(0.0, 25.0), solver=SolverConfig(),
+        )
+        records = run_experiment(spec)
+        assert all(r.failures == 0 for r in records)
+        assert CountingHighs.runs == spec.n_realizations * spec.block_length
+
+    def test_entries_called_outside_a_scope_solve_twice(self, monkeypatch):
+        monkeypatch.setattr(CountingHighs, "runs", 0)
+        monkeypatch.setattr(precoding, "_Highs", CountingHighs)
+        H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
+        for pid in ("falm", "msm"):
+            baselines.get_precoder(pid)(H, symbols, MpskConstellation(4), 1.0)
+        assert CountingHighs.runs == 2
+
+    def test_scope_shares_only_between_identical_inputs(self, monkeypatch):
+        """Inside one scope an entry reuses the first entry's instance only
+        for the same H and symbols objects, constellation and power."""
+        built = []
+        real_build = baselines.build_instance
+
+        def build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(baselines, "build_instance", build)
+        falm, msm = baselines.get_precoder("falm"), baselines.get_precoder("msm")
+        H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
+        c = MpskConstellation(4)
+        with baselines.symbol_time():
+            falm(H, symbols, c, 1.0)
+            msm(H, symbols, MpskConstellation(4), 1.0)
+            assert len(built) == 1
+            for args in ((H.copy(), symbols, c, 1.0), (H, symbols.copy(), c, 1.0),
+                         (H, symbols, MpskConstellation(8), 1.0), (H, symbols, c, 2.0)):
+                msm(*args)
+            assert len(built) == 5
+            msm(H, symbols, c, 1.0)  # the first instance is still the shared one
+            assert len(built) == 5
+        msm(H, symbols, c, 1.0)  # the scope is closed
+        assert len(built) == 6
+
+    def test_scope_is_not_seen_by_another_thread(self, monkeypatch):
+        monkeypatch.setattr(CountingHighs, "runs", 0)
+        monkeypatch.setattr(precoding, "_Highs", CountingHighs)
+        H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
+        c = MpskConstellation(4)
+        with baselines.symbol_time():
+            baselines.get_precoder("msm")(H, symbols, c, 1.0)
+            worker = threading.Thread(target=baselines.get_precoder("msm"), args=(H, symbols, c, 1.0))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert CountingHighs.runs == 2
+            baselines.get_precoder("falm")(H, symbols, c, 1.0)
+        assert CountingHighs.runs == 2
+
+    def test_each_precoder_records_as_if_run_alone(self):
+        together = make_spec(precoder_ids=("falm", "msm", "zf-ob", "zf"), n_realizations=3)
+        records = records_without_timing(run_experiment(together))
+        n = len(together.snr_db)
+        for p, pid in enumerate(together.precoder_ids):
+            alone = run_experiment(dataclasses.replace(together, precoder_ids=(pid,)))
+            assert records[p * n : (p + 1) * n] == records_without_timing(alone)
+
+    def test_lp_failure_fails_falm_and_msm_on_every_symbol_time(self, monkeypatch):
+        """A failed solve is not kept: msm, after falm in the same symbol
+        time, solves again and fails too."""
+        spec = make_spec(precoder_ids=("falm", "msm", "zf-ob"), n_realizations=2)
+        before = run_experiment(spec)
+
+        class InfeasibleHighs(precoding._Highs):
+            def run(self):
+                pass
+
+            def getModelStatus(self):
+                return precoding.HighsModelStatus.kInfeasible
+
+        monkeypatch.setattr(precoding, "_Highs", InfeasibleHighs)
+        after = run_experiment(spec)
+        n = len(spec.snr_db)
+        total = spec.n_realizations * spec.block_length
+        assert all(r.failures == total and r.symbol_count == 0 for r in after[: 2 * n])
+        assert records_without_timing(after[2 * n :]) == records_without_timing(before[2 * n :])
 
 
 class TestErrorRates:

@@ -20,7 +20,8 @@ from onebit_precoding import (
     quantize_one_bit,
     to_real,
 )
-from onebit_precoding.precoding import optimal_onebit_margin
+from onebit_precoding import precoding
+from onebit_precoding.precoding import optimal_onebit_margin, relaxed_lp
 
 
 def random_instance(rng, n_users=3, n_antennas=4, order=8, power=1.0):
@@ -136,6 +137,35 @@ class TestBuildInstance:
         """The alphabet's own constructors check the power as instances do."""
         with pytest.raises(ValueError, match="power must be positive and finite"):
             make()
+
+
+class TestRelaxed:
+    def test_solved_once_and_read_only(self):
+        """The instance keeps relaxed_lp's result, bit for bit, and its x
+        cannot be written, so the solvers sharing it cannot corrupt it."""
+        _, _, inst = random_instance(np.random.default_rng(12))
+        x, t_star = inst.relaxed
+        assert inst.relaxed is inst.relaxed
+        x_ref, t_ref = relaxed_lp(inst)
+        assert np.array_equal(x, x_ref) and t_star == t_ref
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+
+    def test_failed_solve_caches_nothing(self, monkeypatch):
+        class InfeasibleHighs(precoding._Highs):
+            def run(self):
+                pass
+
+            def getModelStatus(self):
+                return precoding.HighsModelStatus.kInfeasible
+
+        _, _, inst = random_instance(np.random.default_rng(13))
+        with monkeypatch.context() as patch:
+            patch.setattr(precoding, "_Highs", InfeasibleHighs)
+            with pytest.raises(RuntimeError, match="box-relaxed LP solve failed"):
+                inst.relaxed
+        assert inst.relaxed[1] == relaxed_lp(inst)[1]
 
 
 class TestSafetyMargin:
