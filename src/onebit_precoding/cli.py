@@ -34,19 +34,16 @@ from .harness import ExperimentSpec, run_experiment
 from .precoding import MAX_ENUMERATED_ANTENNAS, build_instance, optimal_onebit_margin
 from .sep_analysis import run_verification
 
-# Solver flag -> help; the flag names a SolverConfig field, which holds the default.
-SOLVER_FLAGS = {
-    "mu": "smoothing parameter",
-    "lambda0": "initial penalty weight",
-    "delta": "penalty growth factor",
-    "lambda-max": "stop once the penalty exceeds this",
-}
-
 # The run flags a config file may set, in the replay header's order.
 RUN_KEYS = (
     "antennas", "users", "block", "power", "mod", "snr", "trials", "precoders", "seed",
-    "workers", *SOLVER_FLAGS,
+    "workers", "mu",
 )
+
+# Config keys of solver settings that are now fixed, with the value each is
+# fixed at. A config that sets one to another value cannot replay, so it is
+# refused rather than run at the fixed value.
+RETIRED_KEYS = {"penalty-period": 1, "lambda0": 0.01, "delta": 10, "lambda-max": 100}
 
 
 class CliError(Exception):
@@ -105,7 +102,9 @@ def check_count(flag: str, value: int, least: int = 1) -> None:
 
 
 def read_config_file(path: str) -> dict:
-    """key = value lines; '#' markers stripped; anything else ignored."""
+    """key = value lines; '#' markers stripped; anything else ignored. A
+    key of ``RETIRED_KEYS`` whose value does not read as its fixed number
+    raises CliError."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,6 +118,16 @@ def read_config_file(path: str) -> dict:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise CliError(f"--config file unreadable: {exc}") from None
+    for key, fixed in RETIRED_KEYS.items():
+        try:
+            kept = key not in values or float(values[key]) == fixed
+        except ValueError:
+            kept = False
+        if not kept:
+            raise CliError(
+                f"--config sets {key} = {values[key]}, but {key} is fixed at {fixed:g}; "
+                "this config cannot be replayed"
+            )
     return values
 
 
@@ -205,19 +214,15 @@ def _add_system_flags(parser, antennas: int, users: int, mod: str) -> None:
     parser.add_argument("--users", type=int, default=users, help="single-antenna users K")
     parser.add_argument("--power", type=float, default=1.0, help="total transmit power P")
     parser.add_argument("--mod", type=str, default=mod, help="modulation, e.g. psk4, psk8, psk16")
-    defaults = SolverConfig()
-    for flag, text in SOLVER_FLAGS.items():
-        default = getattr(defaults, flag.replace("-", "_"))
-        parser.add_argument(f"--{flag}", type=type(default), default=default, help=text)
+    parser.add_argument("--mu", type=float, default=SolverConfig().mu, help="smoothing parameter")
 
 
 def _system_from_args(args) -> tuple:
     """(order, SolverConfig) from the system flags, after the modulation,
     solver, size and power checks every subcommand shares."""
     order = parse_modulation(args.mod)
-    fields = [flag.replace("-", "_") for flag in SOLVER_FLAGS]
     try:
-        config = SolverConfig(**{name: getattr(args, name) for name in fields})
+        config = SolverConfig(mu=args.mu)
     except ValueError as exc:
         raise CliError(f"invalid solver parameter: {exc}") from None
     check_count("antennas", args.antennas)

@@ -10,13 +10,13 @@ x in {+/- a}^2N (a = sqrt(P/2N)) is exchanged for a box plus the penalty
 lambda * (P - x.v) with an auxiliary v on the ball |v|^2 <= P: the penalty is
 nonnegative on the feasible set and vanishes exactly at binary points with
 v = x. The outer loop alternates an accelerated projected gradient (APG)
-x-update with the closed-form v-update v = sqrt(P) x / |x|, growing lambda
-geometrically until it crosses lambda_max; the iterate is then snapped onto
-the one-bit alphabet by componentwise sign (ties to +). It starts from the
-solution of the box-relaxed max-min-margin LP with v = 0, and its first two
-outer iterations take one APG iteration each. The APG step backtracks from a
-growing trial down to the floor 2/L, L = |forms|^2 / mu, which is also every
-call's first step.
+x-update with the closed-form v-update v = sqrt(P) x / |x|, one outer
+iteration per level of ``PENALTY_LEVELS`` (lambda = 0.01 to 100 by factors of
+10); the iterate is then snapped onto the one-bit alphabet by componentwise
+sign (ties to +). It starts from the solution of the box-relaxed
+max-min-margin LP with v = 0, and its first two outer iterations take one APG
+iteration each. The APG step backtracks from a growing trial down to the floor
+2/L, L = |forms|^2 / mu, which is also every call's first step.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from .precoding import (
     quantize_one_bit,
 )
 
-# APG caps of the first outer iterations, lambda = 0.01 and 0.1 by default;
-# every later one runs up to apg_max_iters. The start, the box LP's solution,
-# already maximizes the worst-user margin over the box, which is what the
+# The penalty continuation: (lambda, APG cap) per outer iteration, where a
+# cap of None means apg_max_iters. The start, the box LP's solution, already
+# maximizes the worst-user margin over the box, which is what the
 # small-penalty levels approach, so more iterations there buy nothing.
-EARLY_APG_CAPS = (1, 1)
+PENALTY_LEVELS = ((0.01, 1), (0.1, 1), (1.0, None), (10.0, None), (100.0, None))
 
 # The APG step doubles after this many consecutive iterations without a
 # halving. Projections per solve (iterations, restarts and halvings) over 20
@@ -52,40 +52,27 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """FALM hyperparameters.
-
-    Defaults give the penalty trace 0.01, 0.1, 1, 10, 100 (five levels, one
-    geometric update per outer iteration) before termination, each level one
-    APG call, capped by the entries of ``EARLY_APG_CAPS`` in turn, then by
-    apg_max_iters. A call's first step is ``apg_step``, the floor of its
-    backtracking step rule (see ``_apg``). A level runs while lambda <=
-    lambda_max up to a relative 1e-9, so rounding drops no level:
-    lambda0=0.07, lambda_max=700 runs five. The paper runs 2,000 per level
-    at the fixed step 1/L. With the backtracking step a default solve at
-    N=32, K=8 runs ~650 iterations over its five levels and reaches no cap;
-    the 1,400 cap bounds the rest. Each call also ends at the
-    gradient-mapping norm threshold of ``apg_tolerance``. Every value must
-    be finite.
+    """FALM hyperparameters: the smoothing parameter and the APG cap of the
+    levels of ``PENALTY_LEVELS`` that set none. A call's first step is
+    ``apg_step``, the floor of its backtracking step rule (see ``_apg``).
+    The paper runs 2,000 iterations per level at the fixed step 1/L. With
+    the backtracking step a default solve at N=32, K=8 runs ~650 iterations
+    over its five levels and reaches no cap; the 1,400 cap bounds the rest.
+    Each call also ends at the gradient-mapping norm threshold of
+    ``apg_tolerance``. ``mu`` must be positive and finite, ``apg_max_iters``
+    an integer >= 1.
     """
 
     mu: float = 0.01
-    lambda0: float = 0.01
-    delta: float = 10.0
-    lambda_max: float = 100.0
     apg_max_iters: int = 1400
 
     def __post_init__(self):
         # Written so that NaN fails too.
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not 0 < self.lambda0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if not 1 < self.delta < math.inf:
-            raise ValueError(f"delta must exceed 1 and be finite, got {self.delta}")
-        if not self.lambda0 < self.lambda_max < math.inf:
-            raise ValueError(f"lambda_max must exceed lambda0 and be finite, got {self.lambda_max}")
-        if self.apg_max_iters < 1:
-            raise ValueError("apg_max_iters must be >= 1")
+        cap = self.apg_max_iters
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"apg_max_iters must be an integer >= 1, got {cap!r}")
 
 
 class OuterStep(NamedTuple):
@@ -368,14 +355,11 @@ def falm_solve(
     ``instance.relaxed``, which solves the LP on first use, so an instance
     that MSM has already solved is not solved again.
     ``init`` is None (x0 = the LP's maximizer, the standard start) or a real
-    2N vector that replaces it; v0 = 0 either way. The APG calls take the
-    caps of ``EARLY_APG_CAPS`` in turn, whatever the start, then
-    config.apg_max_iters, each warm-started from the previous outer iterate.
-    Levels run while lambda <= lambda_max up to a relative 1e-9, so the
-    rounding of lambda0 * delta^k cannot drop the last one. ``trace_file`` is
-    None or an open text file, which receives each outer step of the report
-    as a CSV row for debugging; its ``inner_iters`` column is the step's APG
-    count.
+    2N vector that replaces it; v0 = 0 either way. Each level of
+    ``PENALTY_LEVELS`` runs one APG call at its cap, whatever the start,
+    warm-started from the previous outer iterate. ``trace_file`` is None or
+    an open text file, which receives each outer step of the report as a CSV
+    row for debugging; its ``inner_iters`` column is the step's APG count.
     """
     if config is None:
         config = SolverConfig()
@@ -390,16 +374,13 @@ def falm_solve(
     steps = []
     if trace_file is not None:
         trace_file.write("outer_iter,lambda,objective,penalty_gap,inner_iters\n")
-    caps = iter(EARLY_APG_CAPS)
-    lam = config.lambda0
-    while lam <= config.lambda_max * (1 + 1e-9):
-        x, inner = _apg(instance, v, lam, config.mu, x, next(caps, config.apg_max_iters))
+    for lam, cap in PENALTY_LEVELS:
+        x, inner = _apg(instance, v, lam, config.mu, x, cap or config.apg_max_iters)
         v = update_v(x, instance.power)
         gap = instance.power - x @ v
         objective = smoothed_objective(instance, x, config.mu) + lam * gap
         steps.append(OuterStep(lam, objective, gap, inner))
         if trace_file is not None:
             trace_file.write(f"{len(steps)},{lam:.6g},{objective:.12g},{gap:.12g},{inner}\n")
-        lam *= config.delta
 
     return SolveReport.quantized(instance, x, steps, t_star)

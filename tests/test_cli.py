@@ -219,27 +219,21 @@ class TestRunCommand:
             "# antennas = 32", "# users = 8", "# block = 100", "# power = 1.0",
             "# mod = psk8", "# snr = 0,5,10,15,20,25", "# trials = 100",
             "# precoders = falm,msm,zf-ob,zf", "# seed = 1", "# workers = 1",
-            "# mu = 0.01", "# lambda0 = 0.01", "# delta = 10.0",
-            "# lambda-max = 100.0",
+            "# mu = 0.01",
         ]
-        fields = {"mu": "mu", "lambda0": "lambda0", "delta": "delta", "lambda-max": "lambda_max"}
-        values = dict(l[2:].split(" = ") for l in header)
-        defaults = SolverConfig()
-        assert {k: values[k] for k in fields} == {
-            k: str(getattr(defaults, f)) for k, f in fields.items()
-        }
+        assert header[-1] == f"# mu = {SolverConfig().mu}"
 
     def test_solver_flags_reach_the_spec(self, tmp_path, monkeypatch):
         specs = []
         monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
-        args = ["run", "--mu", "0.02", "--lambda0", "0.05", "--delta", "4", "--lambda-max", "50",
-                "--out", str(tmp_path / "o.csv")]
-        assert main(args) == 0
-        assert specs[0].solver == SolverConfig(mu=0.02, lambda0=0.05, delta=4.0, lambda_max=50.0)
+        assert main(["run", "--mu", "0.02", "--out", str(tmp_path / "o.csv")]) == 0
+        assert specs[0].solver == SolverConfig(mu=0.02)
 
     def test_replays_header_with_penalty_period(self, tmp_path):
         """Results CSVs written while the solver had a penalty-update period
-        carry '# penalty-period = 1' in their header; they still replay."""
+        carry '# penalty-period = 1' in their header, and those written while
+        the schedule was a setting carry its lines; at the values the solver
+        now fixes, read as floats, they still replay."""
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         args = [
@@ -250,12 +244,27 @@ class TestRunCommand:
         ]
         assert main(args) == 0
         lines = first.read_text().splitlines()
-        end = lines.index("# lambda-max = 100.0") + 1
+        end = lines.index("# mu = 0.01") + 1
         assert not lines[end].startswith("#")
-        old = lines[:end] + ["# penalty-period = 1"] + lines[end:]
+        retired = ["# lambda0 = 0.01", "# delta = 10.0", "# lambda-max = 1e2", "# penalty-period = 1"]
+        old = lines[:end] + retired + lines[end:]
         first.write_text("\n".join(old) + "\n")
         assert main(["run", "--config", str(first), "--out", str(second)]) == 0
         assert strip_timing(second.read_text()) == strip_timing("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "line",
+        ["penalty-period = 2", "lambda0 = 1", "delta = 100", "lambda-max = 1e3", "lambda0 = x",
+         "delta = nan", "lambda-max = inf"],
+    )
+    def test_refuses_retired_key_at_another_value(self, tmp_path, capsys, line):
+        """A config that set a now-fixed setting to another value would
+        replay at the fixed one: exit 2, the key named, no CSV written."""
+        cfg, out = tmp_path / "cfg", tmp_path / "o.csv"
+        cfg.write_text(f"# {line}\n")
+        assert main(["run", *SMALL_RUN, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --config sets {line}, ")
+        assert not out.exists()
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -278,10 +287,10 @@ class TestRunCommand:
         """A hand-written config gives the canonical header of the same flags."""
         monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
         cfg = tmp_path / "cfg"
-        cfg.write_text("power = 1\nlambda-max = 1e2\n")
+        cfg.write_text("power = 1\nmu = 1e-2\n")
         from_config, from_flags = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["run", "--config", str(cfg), "--out", str(from_config)]) == 0
-        assert main(["run", "--power", "1", "--lambda-max", "1e2", "--out", str(from_flags)]) == 0
+        assert main(["run", "--power", "1", "--mu", "1e-2", "--out", str(from_flags)]) == 0
         assert from_config.read_text() == from_flags.read_text()
         assert "# power = 1.0" in from_config.read_text().splitlines()
 
@@ -409,11 +418,11 @@ class TestOtherCommands:
             ("run", ["--seed", "-1"], "--seed"),
             ("solve-one", ["--seed", "-1"], "--seed"),
             ("verify-sep", ["--seed", "-1"], "--seed"),
-            ("solve-one", [*SMALL, "--delta", "nan"], "invalid solver parameter: delta"),
-            ("solve-one", [*SMALL, "--delta", "inf"], "invalid solver parameter: delta"),
+            ("solve-one", [*SMALL, "--mu", "nan"], "invalid solver parameter: mu"),
+            ("solve-one", [*SMALL, "--mu", "-1"], "invalid solver parameter: mu"),
             ("solve-one", [*SMALL, "--mu", "inf"], "invalid solver parameter: mu"),
-            ("run", [*SMALL_RUN, "--lambda-max", "inf"], "invalid solver parameter: lambda_max"),
-            ("run", [*SMALL_RUN, "--lambda0", "nan"], "invalid solver parameter: lambda0"),
+            ("run", [*SMALL_RUN, "--mu", "nan"], "invalid solver parameter: mu"),
+            ("run", [*SMALL_RUN, "--mu", "-1"], "invalid solver parameter: mu"),
             ("run", ["--precoders", ","], "--precoders"),
         ],
     )

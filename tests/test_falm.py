@@ -680,24 +680,15 @@ class TestFalmSolve:
         assert report.x_onebit.x_real[0] == pytest.approx(a)
 
     def test_default_penalty_trace(self):
+        """One outer iteration per level of the table, at exactly its lambda;
+        the capped levels run their one APG iteration."""
         rng = np.random.default_rng(12)
         inst = random_instance(rng)
         report = falm_solve(inst)
-        np.testing.assert_allclose([s.lam for s in report.steps], [0.01, 0.1, 1.0, 10.0, 100.0])
+        assert [s.lam for s in report.steps] == [lam for lam, _ in falm.PENALTY_LEVELS]
         assert report.outer_iterations == 5
-        assert [s.apg_iterations for s in report.steps[:2]] == [1, 1]
-
-    @pytest.mark.parametrize(
-        "lambda0, lambda_max, levels",
-        [(0.07, 700.0, 5), (0.07, 699.0, 4), (0.03, 300.0, 5)],
-    )
-    def test_level_count_survives_rounding(self, lambda0, lambda_max, levels):
-        """0.07 * 10^4 rounds to 700.0000000000001 > 700, yet it is the level
-        lambda_max names; 699 still stops at 70."""
-        inst = random_instance(np.random.default_rng(12))
-        config = SolverConfig(lambda0=lambda0, lambda_max=lambda_max, apg_max_iters=20)
-        lams = [s.lam for s in falm_solve(inst, config).steps]
-        assert lams == pytest.approx([lambda0 * 10.0**k for k in range(levels)], rel=1e-12)
+        capped = [s.apg_iterations for s, (_, cap) in zip(report.steps, falm.PENALTY_LEVELS) if cap]
+        assert capped == [1, 1]
 
     def test_output_is_exactly_one_bit(self):
         rng = np.random.default_rng(14)
@@ -795,28 +786,23 @@ class TestSolverConfig:
         "kw",
         [
             {"mu": 0.0},
-            {"lambda0": -1.0},
-            {"delta": 1.0},
-            {"lambda_max": 0.001},
             {"apg_max_iters": 0},
             {"mu": math.nan},
             {"mu": math.inf},
-            {"lambda0": math.nan},
-            {"delta": math.nan},
-            {"delta": math.inf},
-            {"lambda_max": math.nan},
-            {"lambda_max": math.inf},
+            {"apg_max_iters": 2.5},
+            {"apg_max_iters": True},
+            {"apg_max_iters": 1.0},
+            {"apg_max_iters": np.float64(3.0)},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
 
+    def test_numpy_integer_cap_is_accepted(self):
+        assert SolverConfig(apg_max_iters=np.int64(20)).apg_max_iters == 20
+
     def test_defaults_match_protocol(self):
         config = SolverConfig()
-        assert (config.mu, config.lambda0, config.delta, config.lambda_max) == (
-            0.01,
-            0.01,
-            10.0,
-            100.0,
-        )
+        assert (config.mu, config.apg_max_iters) == (0.01, 1400)
+        assert [lam for lam, _ in falm.PENALTY_LEVELS] == [0.01, 0.1, 1.0, 10.0, 100.0]
