@@ -7,17 +7,18 @@ Subcommands:
   oracle-compare Compare the solver against brute-force enumeration on tiny
                  instances.
 
-A config file of ``key = value`` lines may supply any ``run`` flag; its
-values are typed and checked like the flags', and explicit flags override
-them. Lines starting with ``#`` have the marker stripped first,
-so the comment header of a results CSV is itself a valid config file and
-``run --config results.csv --out replay.csv`` reproduces a run.
+A config file of ``key = value`` lines may supply any ``run`` flag, and an
+unknown key is refused; its values are typed and checked like the flags',
+and explicit flags override them. Lines starting with ``#`` have the marker
+stripped first, so the comment header of a results CSV is itself a valid
+config file and ``run --config results.csv --out replay.csv`` reproduces a run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import logging
 import math
 import sys
@@ -102,9 +103,9 @@ def check_count(flag: str, value: int, least: int = 1) -> None:
 
 
 def read_config_file(path: str) -> dict:
-    """key = value lines; '#' markers stripped; anything else ignored. A
-    key of ``RETIRED_KEYS`` whose value does not read as its fixed number
-    raises CliError."""
+    """key = value lines; '#' markers stripped; lines without '=' ignored.
+    A key outside ``RUN_KEYS`` and ``RETIRED_KEYS``, or a retired key whose
+    value does not read as its fixed number, raises CliError."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -118,14 +119,20 @@ def read_config_file(path: str) -> dict:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise CliError(f"--config file unreadable: {exc}") from None
-    for key, fixed in RETIRED_KEYS.items():
+    for key, value in values.items():
+        if key in RUN_KEYS:
+            continue
+        if key not in RETIRED_KEYS:
+            near = difflib.get_close_matches(key, RUN_KEYS, n=1)
+            hint = f"; did you mean {near[0]}?" if near else ""
+            raise CliError(f"--config has unknown key {key!r}{hint}")
         try:
-            kept = key not in values or float(values[key]) == fixed
+            kept = float(value) == RETIRED_KEYS[key]
         except ValueError:
             kept = False
         if not kept:
             raise CliError(
-                f"--config sets {key} = {values[key]}, but {key} is fixed at {fixed:g}; "
+                f"--config sets {key} = {value}, but {key} is fixed at {RETIRED_KEYS[key]:g}; "
                 "this config cannot be replayed"
             )
     return values
@@ -160,11 +167,13 @@ def build_run_spec(args: argparse.Namespace) -> ExperimentSpec:
         raise CliError(f"--precoders: {exc.args[0]}") from None
 
 
-def run_header(args: argparse.Namespace) -> dict:
-    """Canonical config header written to the CSV; feeding it back through
-    --config reproduces the run."""
+def run_header(args: argparse.Namespace, spec: ExperimentSpec) -> dict:
+    """Canonical config header written to the CSV, mod, snr and precoders as
+    the spec parsed them; feeding it back through --config reproduces the run."""
     header = {key: getattr(args, key.replace("-", "_")) for key in RUN_KEYS}
-    header["snr"] = ",".join(format_snr(v) for v in parse_snr(args.snr))
+    header["mod"] = f"psk{spec.order}"
+    header["snr"] = ",".join(format_snr(v) for v in spec.snr_db)
+    header["precoders"] = ",".join(spec.precoder_ids)
     return header
 
 
@@ -280,7 +289,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     spec = build_run_spec(args)
     records = run_experiment(spec)
-    write_csv(records, args.out, header=run_header(args))
+    write_csv(records, args.out, header=run_header(args, spec))
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 

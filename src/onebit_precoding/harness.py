@@ -84,6 +84,11 @@ class ExperimentSpec:
             get_precoder(pid, self.solver)
         for snr in self.snr_db:  # SNR validation
             self.system_params(snr)
+        for name in ("precoder_ids", "snr_db"):  # a repeat would only copy a row
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} repeats {value}")
 
     def system_params(self, snr_db: float) -> SystemParams:
         """Parameters at one SNR point, with noise_var = P / 10**(snr/10).

@@ -266,6 +266,42 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"error: --config sets {line}, ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [("antenas = 8", "'antenas'; did you mean antennas?"), ("out = x.csv", "'out'"),
+         ("config = other.cfg", "'config'")],
+    )
+    def test_refuses_unknown_key(self, tmp_path, capsys, line, named):
+        """A misspelt or foreign key would leave its setting at the default
+        unnoticed: exit 2, the key named with the nearest run key, no CSV."""
+        cfg, out = tmp_path / "cfg", tmp_path / "o.csv"
+        cfg.write_text(f"users = 2\nblock = 1\ntrials = 1\nsnr = 10\nprecoders = zf-ob\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --config has unknown key {named}\n"
+        assert not out.exists()
+
+    def test_header_is_canonical_for_mod_and_precoders(self, tmp_path, monkeypatch):
+        """The header writes the parsed modulation and precoder list, as it
+        does the SNR points, so spellings of one run give one header."""
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
+        loose, tight = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", "--mod", "PSK08", "--precoders", " zf-ob , zf", "--out", str(loose)]) == 0
+        assert main(["run", "--mod", "psk8", "--precoders", "zf-ob,zf", "--out", str(tight)]) == 0
+        assert loose.read_text() == tight.read_text()
+        assert "# precoders = zf-ob,zf" in tight.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--precoders", "zf-ob,zf-ob", "precoder_ids repeats zf-ob"),
+         ("--snr", "0,0", "snr_db repeats 0.0")],
+    )
+    def test_refuses_repeats(self, tmp_path, capsys, flag, value, named):
+        """A repeated precoder or SNR point would only copy its own rows."""
+        out = tmp_path / "o.csv"
+        assert main(["run", *SMALL_RUN, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("antennas = 8\nusers = 2\nblock = 2\ntrials = 2\n"

@@ -697,6 +697,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_spec(precoder_ids=())
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"precoder_ids": ("zf-ob", "zf", "zf-ob")}, "precoder_ids repeats zf-ob"),
+            ({"precoder_ids": ("falm", "falm")}, "precoder_ids repeats falm"),
+            ({"snr_db": (0.0, 5.0, 0.0)}, "snr_db repeats 0.0"),
+            ({"snr_db": (-0.0, 0.0)}, "snr_db repeats 0.0"),
+        ],
+    )
+    def test_rejects_repeats(self, overrides, message):
+        """A repeated precoder or SNR point would only run again to copy its
+        own row, so the spec refuses it and names the value."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_spec(**overrides)
+
     @pytest.mark.parametrize("snr_db", [(10.0, np.nan), (np.nan, 10.0), (np.inf,), (0.0, -np.inf)])
     def test_rejects_non_finite_snr(self, snr_db):
         with pytest.raises(ValueError, match="noise_var must be finite and positive"):
