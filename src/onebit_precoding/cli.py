@@ -21,6 +21,7 @@ import csv
 import difflib
 import logging
 import math
+import os
 import sys
 from contextlib import nullcontext
 from typing import Optional
@@ -103,9 +104,10 @@ def check_count(flag: str, value: int, least: int = 1) -> None:
 
 
 def read_config_file(path: str) -> dict:
-    """key = value lines; '#' markers stripped; lines without '=' ignored.
-    A key outside ``RUN_KEYS`` and ``RETIRED_KEYS``, or a retired key whose
-    value does not read as its fixed number, raises CliError."""
+    """key = value lines of UTF-8 text; '#' markers stripped; lines without
+    '=' ignored. A key given twice, a key outside ``RUN_KEYS`` and
+    ``RETIRED_KEYS``, or a retired key whose value does not read as its
+    fixed number, raises CliError."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,9 +117,11 @@ def read_config_file(path: str) -> dict:
                     line = line.lstrip("#").strip()
                 if "=" not in line:
                     continue
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in values:
+                    raise CliError(f"--config sets {key} twice")
+                values[key] = value
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"--config file unreadable: {exc}") from None
     for key, value in values.items():
         if key in RUN_KEYS:
@@ -177,44 +181,34 @@ def run_header(args: argparse.Namespace, spec: ExperimentSpec) -> dict:
     return header
 
 
-CSV_COLUMNS = (
-    "precoder",
-    "snr_db",
-    "ber",
-    "ser",
-    "worst_user_ber",
-    "bits",
-    "symbols",
-    "realizations",
-    "failures",
-    "wall_time_s",
+# The results CSV, one line per column in order: its name, the BerRecord
+# field it holds and how that field is written. Fixed formats keep replays
+# byte-identical apart from wall_time_s.
+CSV_FORMAT = (
+    ("precoder", "precoder", str),
+    ("snr_db", "snr_db", format_snr),
+    ("ber", "ber", "{:.10e}".format),
+    ("ser", "ser", "{:.10e}".format),
+    ("worst_user_ber", "worst_user_ber", "{:.10e}".format),
+    ("bits", "bit_count", str),
+    ("symbols", "symbol_count", str),
+    ("realizations", "realization_count", str),
+    ("failures", "failures", str),
+    ("wall_time_s", "wall_time_s", "{:.3f}".format),
 )
+CSV_COLUMNS = tuple(name for name, _, _ in CSV_FORMAT)
 
 
 def write_csv(records, path: str, header: dict):
-    """Write records under the resolved-config comment header. Field
-    formatting is fixed so replays are byte-identical apart from
-    wall_time_s."""
+    """Write records under the resolved-config comment header, each row as
+    CSV_FORMAT writes it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in header.items():
             fh.write(f"# {key} = {value}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.precoder,
-                    format_snr(r.snr_db),
-                    f"{r.ber:.10e}",
-                    f"{r.ser:.10e}",
-                    f"{r.worst_user_ber:.10e}",
-                    r.bit_count,
-                    r.symbol_count,
-                    r.realization_count,
-                    r.failures,
-                    f"{r.wall_time_s:.3f}",
-                ]
-            )
+            writer.writerow(fmt(getattr(r, field)) for _, field, fmt in CSV_FORMAT)
 
 
 def _add_system_flags(parser, antennas: int, users: int, mod: str) -> None:
@@ -288,7 +282,16 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = build_run_spec(args)
-    records = run_experiment(spec)
+    # Open --out before the sweep, so that the OS refuses a bad path now;
+    # append mode leaves an existing file as it is until write_csv.
+    created = not os.path.exists(args.out)
+    open(args.out, "a").close()
+    try:
+        records = run_experiment(spec)
+    except BaseException:
+        if created:  # a failed sweep leaves no file behind
+            os.remove(args.out)
+        raise
     write_csv(records, args.out, header=run_header(args, spec))
     print(f"wrote {len(records)} records to {args.out}")
     return 0

@@ -41,11 +41,10 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SystemParams:
     """One SNR point of an ExperimentSpec, as the spec checked it: N
-    antennas, K users, total transmit power P and noise variance sigma^2."""
+    antennas, K users and noise variance sigma^2."""
 
     n_antennas: int
     n_users: int
-    total_power: float
     noise_var: float
 
 
@@ -106,12 +105,7 @@ class ExperimentSpec:
                 f"SNR point {snr_db:g} dB is out of range: "
                 f"noise_var must be finite and positive, got {noise_var}"
             )
-        return SystemParams(
-            n_antennas=self.n_antennas,
-            n_users=self.n_users,
-            total_power=self.total_power,
-            noise_var=noise_var,
-        )
+        return SystemParams(n_antennas=self.n_antennas, n_users=self.n_users, noise_var=noise_var)
 
 
 @dataclass(frozen=True)

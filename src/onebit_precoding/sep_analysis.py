@@ -133,20 +133,8 @@ def run_verification(
             alphas.append(alpha)
             chain_gaps.append(est.err_rate - est.err_rate_shifted - 3.0 * se_pair)
             bound_gaps.append(est.err_rate_shifted - bound - 3.0 * est.std_err_shifted)
-        results.append(
-            CheckResult(
-                name=f"error chain M={order}",
-                detail=_slack_detail(chain_gaps, alphas, "points"),
-                passed=all(g <= 0 for g in chain_gaps),
-            )
-        )
-        results.append(
-            CheckResult(
-                name=f"union bound M={order}",
-                detail=_slack_detail(bound_gaps, alphas, "points"),
-                passed=all(g <= 0 for g in bound_gaps),
-            )
-        )
+        results.append(_bound_row(f"error chain M={order}", chain_gaps, alphas, "points"))
+        results.append(_bound_row(f"union bound M={order}", bound_gaps, alphas, "points"))
 
     results.append(_precoded_reception_check(seed, bound_trials))
     return results
@@ -169,21 +157,20 @@ def _precoded_reception_check(seed: int, n_trials: int) -> CheckResult:
         est = empirical_sep(z[i], sigma, constellation, n_trials, substream(seed, 3, 10 + i))
         bound = sep_union_bound(alpha, sigma, constellation)
         gaps.append(est.err_rate - bound - 3.0 * est.std_err)
-    return CheckResult(
-        name="precoded receptions",
-        detail=_slack_detail(gaps, alphas, "users"),
-        passed=all(g <= 0 for g in gaps),
-    )
+    return _bound_row("precoded receptions", gaps, alphas, "users")
 
 
-def _slack_detail(gaps, alphas, unit: str) -> str:
-    """The worst slack (gap) over the positive-margin points, and how many
-    points sat at the clipped bound. A margin <= 0 clips the bound at 1,
-    where the shifted error rate is typically 1 with zero standard error;
-    that slack of exactly 0 would hide every informative point."""
+def _bound_row(name: str, gaps, alphas, unit: str) -> CheckResult:
+    """A bound check's row: it passes when no point's gap (how far a rate
+    exceeds its bound, less 3 standard errors) is positive. Its detail gives
+    the worst slack over the positive-margin points, and how many points sat
+    at the clipped bound. A margin <= 0 clips the bound at 1, where the
+    shifted error rate is typically 1 with zero standard error; that slack
+    of exactly 0 would hide every informative point."""
     open_gaps = [g for g, alpha in zip(gaps, alphas) if alpha > 0]
     worst = f"{max(open_gaps):+.2e}" if open_gaps else "n/a"
-    return (
+    detail = (
         f"worst slack {worst} over {len(open_gaps)} positive-margin {unit}, "
         f"{len(gaps) - len(open_gaps)} at the clipped bound"
     )
+    return CheckResult(name, detail, passed=all(g <= 0 for g in gaps))

@@ -280,6 +280,45 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: --config has unknown key {named}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [(b"\xff", "--config file unreadable: 'utf-8' codec can't decode"),
+         (b"antennas = 8\nantennas = 16\n", "--config sets antennas twice")],
+    )
+    def test_refuses_undecodable_config_and_repeated_key(self, tmp_path, capsys, text, named):
+        """A config that is not UTF-8, or that gives a key twice, has no one
+        reading: exit 2, no CSV."""
+        cfg, out = tmp_path / "cfg", tmp_path / "o.csv"
+        cfg.write_bytes(text)
+        assert main(["run", *SMALL_RUN, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_bad_out_path_exits_before_the_sweep(self, tmp_path, capsys, monkeypatch, target):
+        """A missing directory, or a directory given as the file, exits 1
+        with the OS error before any realization runs."""
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        assert main(["run", *SMALL_RUN, "--out", str(tmp_path / target)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert specs == []
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_sweep_keeps_an_existing_out_file_and_makes_none(self, tmp_path, monkeypatch):
+        """An existing --out file is untouched until the sweep has finished,
+        and a failed sweep leaves no new file behind."""
+        def fail(spec):
+            raise RuntimeError("realization 0 failed")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("earlier results\n")
+        for out in (old, new):
+            assert main(["run", *SMALL_RUN, "--out", str(out)]) == 1
+        assert old.read_text() == "earlier results\n"
+        assert not new.exists()
+
     def test_header_is_canonical_for_mod_and_precoders(self, tmp_path, monkeypatch):
         """The header writes the parsed modulation and precoder list, as it
         does the SNR points, so spellings of one run give one header."""

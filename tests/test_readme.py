@@ -1,10 +1,11 @@
 """README's Python example runs and its CLI examples parse, as written."""
 
+import dataclasses
 import pathlib
 import re
 import shlex
 
-from onebit_precoding import cli
+from onebit_precoding import BerRecord, cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +29,14 @@ def test_cli_examples_parse():
     assert len(commands) == 5
     for words in commands:
         cli.build_parser().parse_args(words[1:])
+
+
+def test_csv_columns_cover_the_record_and_match_the_readme():
+    """Each BerRecord field is written by exactly one CSV_FORMAT column, and
+    the README's "Data columns" line lists the columns in order, so a field
+    added to the record cannot miss the CSV or the docs."""
+    fields = [field for _, field, _ in cli.CSV_FORMAT]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(BerRecord))
+    section = README.read_text(encoding="utf-8").split("Data columns:", 1)[1]
+    line = re.search(r"```\n(.*?)\n```", section, re.S).group(1)
+    assert line.split(",") == list(cli.CSV_COLUMNS)
