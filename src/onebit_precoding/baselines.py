@@ -4,8 +4,6 @@ plus the string-keyed precoder registry used by the harness."""
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,37 +60,29 @@ def msm_precode(instance: PrecodingInstance) -> SolveReport:
 Precoder = Callable[[np.ndarray, np.ndarray, MpskConstellation, float], np.ndarray]
 
 
-# [H, symbols, constellation, power, instance] of the first one-bit entry
-# called in the open symbol_time() scope, [] before it, None outside one. A
-# ContextVar, so a scope is seen only by the thread that opened it.
-_symbol_time = ContextVar("symbol_time", default=None)
-
-
-@contextlib.contextmanager
-def symbol_time():
-    """Scope of one symbol time: its one-bit entries share the instance, and
-    the box LP solve, of the first of them, if called with the very same H
-    and symbols objects and an equal constellation and power."""
-    token = _symbol_time.set([])
-    try:
-        yield
-    finally:
-        _symbol_time.reset(token)
+# (H, symbols, constellation, power, instance) of the last instance a
+# one-bit entry built, H and symbols copied; replaced whole, never changed.
+_last_instance = None
 
 
 def _one_bit_entry(solve):
-    """The precoder that builds each instance, or takes the one its
-    symbol_time() scope holds, and returns the one-bit vector of
-    ``solve(instance)``'s report."""
+    """The precoder that returns ``solve(instance)``'s one-bit vector. A call
+    whose H and symbols equal the last built instance's in dtype and value,
+    and whose constellation and power compare equal, reuses that checked
+    instance and its box LP, so falm and msm solve one LP per symbol time.
+    Any other call builds an instance, held until the process builds another."""
 
     def precode(H, symbols, constellation, power):
-        shared = _symbol_time.get()
-        if shared and shared[0] is H and shared[1] is symbols and shared[2:4] == [constellation, power]:
-            instance = shared[4]
+        global _last_instance
+        last = _last_instance
+        if last and (constellation, power) == last[2:4] and all(
+            np.asarray(new).dtype == old.dtype and np.array_equal(new, old)
+            for new, old in ((H, last[0]), (symbols, last[1]))
+        ):
+            instance = last[4]
         else:
             instance = build_instance(H, symbols, constellation, power)
-            if shared == []:
-                shared += [H, symbols, constellation, power, instance]
+            _last_instance = (np.array(H), np.array(symbols), constellation, power, instance)
         return solve(instance).x_onebit.to_complex()
 
     return precode

@@ -224,7 +224,9 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
     m = forms.shape[0]
     power = instance.power
     # Local names and a positional ``out`` cut numpy's per-call dispatch;
-    # maximum and minimum deprecate a positional ``out``.
+    # maximum and minimum deprecate a positional ``out``. Every product but
+    # the rare full tolerance test goes through a bound ndarray.dot, which
+    # skips np.dot's __array_function__ layer.
     dot, add, subtract, multiply, exp = np.dot, np.add, np.subtract, np.multiply, np.exp
     maximum, minimum = np.maximum, np.minimum
     log, sqrt, isfinite = math.log, math.sqrt, math.isfinite
@@ -236,6 +238,7 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
     # at N=128. Their rounding depends on the layout; the reference shares it.
     forward = np.asfortranarray(np.vstack([forms / mu, v]))
     transposed = np.asfortranarray(np.vstack([forms, v]).T)
+    forward_dot, transposed_dot = forward.dot, transposed.dot
 
     floor = apg_step(instance, mu)
     step = floor
@@ -252,7 +255,7 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
         shift = s_forms.item(s_forms.argmax())
         subtract(s_forms, shift, e)
         exp(e, e)
-        total = dot(e, ones)
+        total = e.dot(ones)
         return total, mu * (shift + log(total)) + lam * (power - point.s.item(m))
 
     def descend(src, total, value):
@@ -264,20 +267,20 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
         nonlocal step, calm
         w, p, zp = src.w, src.p, z.p
         w[m] = -lam * total
-        dot(transposed, w, g)
+        transposed_dot(w, g)
         while True:
             multiply(g, step / total, zp)
             subtract(p, zp, zp)
             maximum(zp, lower, out=zp)
             minimum(zp, upper, out=zp)
-            dot(forward, zp, z.s)
+            forward_dot(zp, z.s)
             total_z, value_z = weigh(z)
             if not isfinite(value_z):
                 raise SolverFailure("non-finite objective during APG iteration")
             if step == floor:
                 return total_z, value_z
             subtract(zp, p, d)
-            dot(gd, d, pair)
+            gd.dot(d, pair)
             inner, square = pair.tolist()
             if value_z <= value + inner / total + square / (2.0 * step):
                 return total_z, value_z
@@ -289,7 +292,7 @@ def _apg(instance, v, lam, mu, x_init, max_iters):
     gd, pair = np.empty((2, n2)), np.empty(2)
     g, d = gd
     minimum(maximum(np.asarray(x_init, dtype=float), lower), upper, out=x.p)
-    dot(forward, x.p, x.s)
+    forward_dot(x.p, x.s)
     sum_x, value_x = weigh(x)
     if not isfinite(value_x):
         raise SolverFailure("non-finite objective at the APG starting point")

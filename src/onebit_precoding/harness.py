@@ -10,18 +10,20 @@ spec replays to identical results, parallel or not.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .baselines import get_precoder, symbol_time
+from .baselines import get_precoder
 from .channel import (
     CHANNEL_STREAM,
     NOISE_STREAM,
@@ -186,26 +188,24 @@ def _realization_counts(spec: ExperimentSpec, realization: int) -> RealizationCo
         H, symbols, unit_noise = paired_streams(
             spec.base_seed, realization, t, params, spec.order
         )
-        # One instance, and one box LP solve, serves falm and msm at t.
-        with symbol_time():
-            for p, precoder in enumerate(precoders):
-                start = time.perf_counter()
-                try:
-                    x = precoder(H, symbols, constellation, spec.total_power)
-                except Exception as exc:
-                    seconds[p] += time.perf_counter() - start
-                    failed.setdefault((p, type(exc).__name__), [exc, t, 0])[2] += 1
-                    continue
+        for p, precoder in enumerate(precoders):
+            start = time.perf_counter()
+            try:
+                x = precoder(H, symbols, constellation, spec.total_power)
+            except Exception as exc:
                 seconds[p] += time.perf_counter() - start
-                noiseless = H @ x
-                if not np.isfinite(noiseless).all():
-                    failed.setdefault((p, "non-finite reception"), [None, t, 0])[2] += 1
-                    continue
-                ok_instances[p] += 1
-                # One row per SNR point.
-                detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
-                symbol_errors[p] += detected != symbols
-                bit_errors[p] += constellation.bit_distances[symbols, detected]
+                failed.setdefault((p, type(exc).__name__), [exc, t, 0])[2] += 1
+                continue
+            seconds[p] += time.perf_counter() - start
+            noiseless = H @ x
+            if not np.isfinite(noiseless).all():
+                failed.setdefault((p, "non-finite reception"), [None, t, 0])[2] += 1
+                continue
+            ok_instances[p] += 1
+            # One row per SNR point.
+            detected = constellation.decide(noiseless + sigmas[:, None] * unit_noise)
+            symbol_errors[p] += detected != symbols
+            bit_errors[p] += constellation.bit_distances[symbols, detected]
     for (p, kind), (exc, t, count) in failed.items():
         failures[p] += count
         logger.warning(
@@ -222,10 +222,33 @@ def _realization_counts(spec: ExperimentSpec, realization: int) -> RealizationCo
     return RealizationCounts(bit_errors, symbol_errors, ok_instances, failures, seconds)
 
 
+@cache
+def _openblas():
+    """(set, get) of the thread count of the OpenBLAS in numpy's wheels, which
+    numpy's core module links; None, logged once, for another BLAS (MKL...)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        blas = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+        blas[0].argtypes, blas[0].restype, blas[1].argtypes = [ctypes.c_int], None, []
+        return blas
+    except (AttributeError, OSError):
+        logger.warning("cannot set numpy's BLAS threads; set OPENBLAS_NUM_THREADS instead")
+
+
+def _set_blas_threads(n: int):
+    """Set this process's BLAS threads to n and return the old count; None,
+    changing nothing, if the user set OPENBLAS_NUM_THREADS or no handle exists."""
+    if "OPENBLAS_NUM_THREADS" not in os.environ and (blas := _openblas()):
+        old = blas[1]()
+        blas[0](n)
+        return old
+
+
 def realization_counts(spec: ExperimentSpec) -> Iterator[RealizationCounts]:
     """Yield each realization's counts in realization order, computed in
     this process with one worker and by a pool of up to ``spec.n_workers``
-    processes with more. An exception that escapes a realization (precoder
+    processes with more, at one BLAS thread each (this process's count comes
+    back at the end). An exception that escapes a realization (precoder
     exceptions do not: they count as failures), or a failure of the pool
     itself, is re-raised as an error naming the realization."""
     count = partial(_realization_counts, spec)
@@ -233,14 +256,20 @@ def realization_counts(spec: ExperimentSpec) -> Iterator[RealizationCounts]:
     # A pool may start all its workers at the first submit, so it gets no
     # more than there are realizations.
     workers = min(spec.n_workers, spec.n_realizations)
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = (map if pool is None else pool.map)(count, realizations)
-        for r in realizations:
-            try:
-                part = next(parts)
-            except Exception as exc:
-                raise RuntimeError(f"realization {r} failed: {exc!r}") from exc
-            yield part
+    threads = _set_blas_threads(1)
+    try:
+        pinned = {} if threads is None else dict(initializer=_set_blas_threads, initargs=(1,))
+        with ProcessPoolExecutor(workers, **pinned) if workers > 1 else nullcontext() as pool:
+            parts = (map if pool is None else pool.map)(count, realizations)
+            for r in realizations:
+                try:
+                    part = next(parts)
+                except Exception as exc:
+                    raise RuntimeError(f"realization {r} failed: {exc!r}") from exc
+                yield part
+    finally:
+        if threads is not None:
+            _set_blas_threads(threads)
 
 
 def error_rates(spec: ExperimentSpec, bit_errors, symbol_errors, ok_instances) -> tuple:

@@ -4,6 +4,7 @@ error accounting."""
 import dataclasses
 import logging
 import os
+import sys
 import threading
 
 import numpy as np
@@ -283,7 +284,7 @@ class TestRunExperiment:
         sizes = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):  # options: the BLAS pin
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -460,17 +461,21 @@ class TestOneBoxLpPerSymbolTime:
         assert all(r.failures == 0 for r in records)
         assert CountingHighs.runs == spec.n_realizations * spec.block_length
 
-    def test_entries_called_outside_a_scope_solve_twice(self, monkeypatch):
+    def test_equal_inputs_share_one_lp(self, monkeypatch):
+        """falm then msm on equal inputs solve one LP, outside any sweep and
+        when the second call gets value-equal copies of H and symbols."""
+        monkeypatch.setattr(baselines, "_last_instance", None)
         monkeypatch.setattr(CountingHighs, "runs", 0)
         monkeypatch.setattr(precoding, "_Highs", CountingHighs)
         H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
-        for pid in ("falm", "msm"):
-            baselines.get_precoder(pid)(H, symbols, MpskConstellation(4), 1.0)
-        assert CountingHighs.runs == 2
+        baselines.get_precoder("falm")(H, symbols, MpskConstellation(4), 1.0)
+        baselines.get_precoder("msm")(H.copy(), symbols.copy(), MpskConstellation(4), 1.0)
+        assert CountingHighs.runs == 1
 
-    def test_scope_shares_only_between_identical_inputs(self, monkeypatch):
-        """Inside one scope an entry reuses the first entry's instance only
-        for the same H and symbols objects, constellation and power."""
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """The instances the one-bit entries build from here on."""
+        monkeypatch.setattr(baselines, "_last_instance", None)
         built = []
         real_build = baselines.build_instance
 
@@ -479,36 +484,88 @@ class TestOneBoxLpPerSymbolTime:
             return built[-1]
 
         monkeypatch.setattr(baselines, "build_instance", build)
+        return built
+
+    def test_other_inputs_build_anew(self, monkeypatch):
+        """A changed H, changed symbols, another order or another power each
+        build a new instance, which the next equal call then reuses."""
+        built = self.counted_builds(monkeypatch)
         falm, msm = baselines.get_precoder("falm"), baselines.get_precoder("msm")
         H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
         c = MpskConstellation(4)
-        with baselines.symbol_time():
-            falm(H, symbols, c, 1.0)
-            msm(H, symbols, MpskConstellation(4), 1.0)
-            assert len(built) == 1
-            for args in ((H.copy(), symbols, c, 1.0), (H, symbols.copy(), c, 1.0),
-                         (H, symbols, MpskConstellation(8), 1.0), (H, symbols, c, 2.0)):
-                msm(*args)
-            assert len(built) == 5
-            msm(H, symbols, c, 1.0)  # the first instance is still the shared one
-            assert len(built) == 5
-        msm(H, symbols, c, 1.0)  # the scope is closed
+        falm(H, symbols, c, 1.0)
+        msm(H, symbols, MpskConstellation(4), 1.0)
+        assert len(built) == 1
+        other_symbols = (symbols + 1) % 4
+        for args in ((2.0 * H, symbols, c, 1.0), (H, other_symbols, c, 1.0),
+                     (H, symbols, MpskConstellation(8), 1.0), (H, symbols, c, 2.0)):
+            msm(*args)
+            falm(*args)
+        assert len(built) == 5
+        msm(H, symbols, c, 1.0)  # the first inputs again, no longer held
         assert len(built) == 6
 
-    def test_scope_is_not_seen_by_another_thread(self, monkeypatch):
-        monkeypatch.setattr(CountingHighs, "runs", 0)
-        monkeypatch.setattr(precoding, "_Highs", CountingHighs)
+    def test_value_equal_inputs_of_another_dtype_are_checked(self, monkeypatch):
+        """Symbols equal in value but not integers are refused, as they are
+        without a held instance."""
+        built = self.counted_builds(monkeypatch)
+        H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
+        msm = baselines.get_precoder("msm")
+        msm(H, symbols, MpskConstellation(4), 1.0)
+        with pytest.raises(ValueError, match="integers"):
+            msm(H, symbols.astype(float), MpskConstellation(4), 1.0)
+        assert len(built) == 1
+
+    def test_h_changed_in_place_builds_anew(self, monkeypatch):
+        built = self.counted_builds(monkeypatch)
         H, symbols, _ = paired_streams(5, 0, 0, make_spec().system_params(0.0), 4)
         c = MpskConstellation(4)
-        with baselines.symbol_time():
-            baselines.get_precoder("msm")(H, symbols, c, 1.0)
-            worker = threading.Thread(target=baselines.get_precoder("msm"), args=(H, symbols, c, 1.0))
+        baselines.get_precoder("falm")(H, symbols, c, 1.0)
+        H[0, 0] = -H[0, 0]
+        x = baselines.get_precoder("msm")(H, symbols, c, 1.0)
+        assert len(built) == 2
+        fresh = baselines.msm_precode(precoding.build_instance(H, symbols, c, 1.0))
+        np.testing.assert_array_equal(x, fresh.x_onebit.to_complex())
+
+    def test_threads_alternating_inputs_get_fresh_vectors(self, monkeypatch):
+        """Two threads calling msm and falm on their own inputs, so that the
+        held instance changes hands between them, each get the vector that
+        a fresh instance gives."""
+        monkeypatch.setattr(baselines, "_last_instance", None)
+        c = MpskConstellation(8)
+        config = SolverConfig(apg_max_iters=30)
+        inputs = [
+            paired_streams(7, r, 0, make_spec().system_params(0.0), 8)[:2] for r in range(2)
+        ]
+        expected = []
+        for H, symbols in inputs:
+            instance = precoding.build_instance(H, symbols, c, 1.0)
+            expected.append({
+                "msm": baselines.msm_precode(instance).x_onebit.to_complex(),
+                "falm": baselines.falm_solve(instance, config).x_onebit.to_complex(),
+            })
+        mismatches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, also inside an entry
+
+        def caller(i):
+            H, symbols = inputs[i]
+            for _ in range(100):
+                for pid in ("msm", "falm"):
+                    x = baselines.get_precoder(pid, config)(H, symbols, c, 1.0)
+                    if not np.array_equal(x, expected[i][pid]):
+                        mismatches.append((i, pid))
+
+        workers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        for worker in workers:
             worker.start()
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-            assert CountingHighs.runs == 2
-            baselines.get_precoder("falm")(H, symbols, c, 1.0)
-        assert CountingHighs.runs == 2
+        try:
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
 
     def test_each_precoder_records_as_if_run_alone(self):
         together = make_spec(precoder_ids=("falm", "msm", "zf-ob", "zf"), n_realizations=3)
@@ -537,6 +594,69 @@ class TestOneBoxLpPerSymbolTime:
         total = spec.n_realizations * spec.block_length
         assert all(r.failures == total and r.symbol_count == 0 for r in after[: 2 * n])
         assert records_without_timing(after[2 * n :]) == records_without_timing(before[2 * n :])
+
+
+class TestBlasThreads:
+    """A run computes at one BLAS thread per process, in its pool workers and
+    in this process, whose count it restores, unless OPENBLAS_NUM_THREADS is
+    set or numpy's BLAS has no thread-count calls."""
+
+    @pytest.fixture
+    def get_threads(self, monkeypatch):
+        """This process at two BLAS threads, OPENBLAS_NUM_THREADS unset; the
+        count's getter."""
+        blas = harness._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread count")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        set_threads, get_threads = blas
+        old = get_threads()
+        set_threads(2)
+        yield get_threads
+        set_threads(old)
+
+    @staticmethod
+    def probe_spec(monkeypatch, get_threads, n_workers):
+        """A spec whose one precoder fails where it runs at more than one
+        BLAS thread."""
+
+        def probe(config):
+            def precode(H, symbols, constellation, power):
+                if get_threads() != 1:
+                    raise RuntimeError(f"{get_threads()} BLAS threads")
+                return baselines.zf_onebit(H, symbols, constellation, power)
+
+            return precode
+
+        monkeypatch.setitem(baselines._REGISTRY, "blas-probe", probe)
+        return make_spec(precoder_ids=("blas-probe",), n_realizations=2, n_workers=n_workers)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_run_computes_at_one_thread_and_restores_the_callers(self, monkeypatch, get_threads, n_workers):
+        records = run_experiment(self.probe_spec(monkeypatch, get_threads, n_workers))
+        assert [r.failures for r in records] == [0, 0]
+        assert get_threads() == 2
+
+    def test_a_set_openblas_num_threads_wins(self, monkeypatch, get_threads):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        spec = self.probe_spec(monkeypatch, get_threads, 1)
+        records = run_experiment(spec)
+        assert [r.failures for r in records] == [spec.n_realizations * spec.block_length] * 2
+        assert get_threads() == 2
+
+    def test_a_blas_without_the_calls_runs_as_is_and_logs_once(self, monkeypatch, caplog):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda path: object())
+        harness._openblas.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=harness.__name__):
+                runs = [run_experiment(make_spec(n_realizations=1)) for _ in range(2)]
+        finally:
+            harness._openblas.cache_clear()
+        assert [r.failures for records in runs for r in records] == [0] * 4
+        assert [r.getMessage() for r in caplog.records] == [
+            "cannot set numpy's BLAS threads; set OPENBLAS_NUM_THREADS instead"
+        ]
 
 
 class TestErrorRates:
